@@ -16,15 +16,15 @@ from collections import Counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from brainstem.episode import EpisodeConfig, Outcome, run_trial  # noqa: E402
+from brainstem.episode import (MODES, EpisodeConfig, Outcome,  # noqa: E402
+                               run_trial)
 from brainstem.simenv import DELETION_TICK, TICKS_PER_SECOND  # noqa: E402
 
 
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", type=int, default=100)
-    parser.add_argument("--mode", default="full",
-                        choices=("full", "reactive_only", "no_inspector"))
+    parser.add_argument("--mode", default="full", choices=MODES)
     args = parser.parse_args()
 
     config = EpisodeConfig(mode=args.mode)

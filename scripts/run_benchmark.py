@@ -13,6 +13,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from brainstem.episode import MODES  # noqa: E402
 from brainstem.harness import BenchConfig, emit_report, run_bench  # noqa: E402
 
 
@@ -24,7 +25,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    for mode in ("full", "reactive_only", "no_inspector"):
+    for mode in MODES:
         out_dir = os.path.join(args.out, mode)
         config = BenchConfig(mode=mode, trials_per_eval=args.trials,
                              evals=args.evals, base_seed=args.seed,

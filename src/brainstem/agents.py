@@ -107,14 +107,6 @@ def combine_outputs(own: AgentOutput, neighbors: Mapping[str, AgentOutput],
     return AgentOutput(total, own.produced_at, own.agent_id)
 
 
-@dataclass
-class AgentContext:
-    external_input: np.ndarray
-    internal_state: np.ndarray
-    shared_memory: np.ndarray
-    prior_semantic: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # perception: multimodal fusion
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 
+from .episode import MODES
 from .errors import BrainstemError
 from .harness import (BenchConfig, EvalBatch, aggregate, emit_report,
                       reference_aggregates, run_bench)
@@ -35,8 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run seeded benchmark trials")
     run_p.add_argument("--task", default="all",
                        help="task id, comma list, or 'all'")
-    run_p.add_argument("--config", default="full",
-                       choices=("full", "reactive_only", "no_inspector"),
+    run_p.add_argument("--config", default="full", choices=MODES,
                        help="agent configuration")
     run_p.add_argument("--seeds", type=int, default=0, help="base seed")
     run_p.add_argument("--trials", type=int, default=25,

@@ -3,9 +3,18 @@
 One episode runs a benchmark scenario through the registry, bus, role-playing
 agents, DAG planner, tree-search action selection, episodic memory, Bayes
 filter, latent relay, state review, and the per-tick reactive controller,
-all on the virtual-clock scheduler. Three agent configurations exist: the
-full collective, a reactive-only ablation (fixed action script, no planning,
-no correction), and a no-inspector ablation.
+all on the virtual-clock scheduler. Three agent configurations exist (see
+``MODES``): the full collective, a reactive-only ablation (fixed action
+script, no planning, no correction), and a no-inspector ablation.
+
+Four things decide a trial's outcome: the world's scheduled events and
+stochastic action results; the planner and tree-search selector, which pick
+each action, replan, and abort at a dead end; state review at the memory
+rate, which requests a replan on symbol drift; and the inspector at the
+deliberative rate, which does the same (state review, at the faster rate,
+usually makes the comparison first). The reactive controller, the latent
+relay, the Bayes filter and the episodic memory with its broadcast still run
+on their loops, but no decision reads what they compute.
 """
 
 from __future__ import annotations
@@ -17,14 +26,13 @@ from typing import Optional
 
 import numpy as np
 
-from .agents import (AgentContext, AgentOutput, ConnectivityMatrix,
-                     HashEmbedder, InspectionVerdict, ManipulationUnit,
-                     combine_outputs, fuse_observations, inspect_alignment,
-                     interpret_context, plan_mission, provider_execute,
-                     worker_reflect)
+from .agents import (HashEmbedder, InspectionVerdict, ManipulationUnit,
+                     fuse_observations, inspect_alignment, plan_mission,
+                     provider_execute, worker_reflect)
 from .backends import ScriptedBackend
 from .bus import MessageBus
-from .errors import EmptyActionSet, NoExecutableNode, UnknownAction
+from .errors import (ConfigError, EmptyActionSet, NoExecutableNode,
+                     UnknownAction)
 from .estimator import BeliefState, DbnParams, forward_filter, predict_state
 from .memory import ActionHistory, MemoryState, broadcast_memory, memory_update, \
     tanh_consolidation
@@ -38,6 +46,13 @@ from .reactive import ReactiveController, ReactiveGains
 from .registry import AgentDescriptor, AgentRegistry, Role
 from .simenv import (ScenarioSpec, WorldState, advance_clock, check_success,
                      observe, resolve_action, sample_duration)
+
+MODES = ("full", "reactive_only", "no_inspector")
+
+# Decay of the episodic memory and weight of the filter's error term in the
+# latent relay. Both only shape the reactive controller's inputs.
+MEMORY_ALPHA = 0.1
+RELAY_LAM = 0.2
 
 WORKER_EXPERTISE = {
     "Worker_1": ("perception", "object detection", "data validation"),
@@ -66,12 +81,10 @@ class TrialResult:
 
 @dataclass
 class EpisodeConfig:
-    mode: str = "full"                # full | reactive_only | no_inspector
+    mode: str = "full"                # one of MODES
     memory_period: int = 100          # 1 virtual second
     deliberative_period: int = 1000   # 10 virtual seconds
     dim: int = 16
-    memory_alpha: float = 0.1
-    lam: float = 0.2
     review_threshold: float = 0.3
     inspect_threshold: float = 0.5
     # depth-2 lookahead: declared models grade goal distance via proximity,
@@ -79,10 +92,13 @@ class EpisodeConfig:
     tree_depth: int = 2
     trace_path: Optional[str] = None
     seconds_per_tick: Optional[float] = None  # bind the virtual clock to wall time
-    error_source: str = "estimator"   # or "latent": predict from the relay state
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
     def rates(self) -> RateConfig:
-        return RateConfig(1, self.memory_period, self.deliberative_period)
+        return RateConfig(self.memory_period, self.deliberative_period)
 
 
 def build_dbn(scenario: ScenarioSpec, smoothing: float = 0.95):
@@ -143,7 +159,7 @@ class EpisodeRuntime:
             [self.symbol_embedder.embed(s) for s in self.state_labels])
         self.belief = BeliefState.uniform(len(self.state_labels))
 
-        self.memory = MemoryState(np.zeros(dim), self.config.memory_alpha)
+        self.memory = MemoryState(np.zeros(dim), MEMORY_ALPHA)
         self.consolidate = tanh_consolidation(dim, dim, dim)
         self.relay = RelayMap(dim, dim, dim, dim)
         self.latent = LatentState(np.zeros(dim))
@@ -152,23 +168,14 @@ class EpisodeRuntime:
             policy=lambda s, a, l: 0.2 * a)
         self.history = ActionHistory()
         self.manipulation = ManipulationUnit()
-        self.connectivity = self._default_connectivity(dim)
-        self.unit_outputs = {name: AgentOutput(np.zeros(dim), 0, name)
-                             for name in ("planner", "perception", "semantic",
-                                          "manipulation", "inspection")}
 
         self.plan = None
         self.pathway = None
         self.dag = None
         self.current_macro = None
-        self.plan_vec = np.zeros(dim)
-        self.semantic_state = np.zeros(dim)
         self.fused = np.zeros(dim)
         self.error = np.zeros(dim)
         self.tracked_symbol = scenario.symbol_of(world)
-        self.context = AgentContext(
-            external_input=np.zeros(dim), internal_state=np.zeros(dim),
-            shared_memory=self.memory.vector, prior_semantic=np.zeros(dim))
 
         self.current_action: Optional[str] = None
         self.action_done_at = 0
@@ -183,16 +190,6 @@ class EpisodeRuntime:
 
         self._cached_action_vec = np.zeros(dim)
         self._cached_state_vec = self.symbol_embedder.embed(self.tracked_symbol)
-
-    @staticmethod
-    def _default_connectivity(dim: int) -> ConnectivityMatrix:
-        connectivity = ConnectivityMatrix()
-        coupling = 0.1 * np.eye(dim)
-        for dst, src in (("semantic", "perception"), ("planner", "semantic"),
-                         ("manipulation", "planner"), ("planner", "inspection"),
-                         ("inspection", "semantic")):
-            connectivity.connect(dst, src, coupling)
-        return connectivity
 
     # -- planning ------------------------------------------------------------
 
@@ -211,17 +208,6 @@ class EpisodeRuntime:
             {"vision": {"visible": [o["id"] for o in obs.visible_objects]},
              "text": self.scenario.mission},
             self.modality_embedders)
-        prior_semantic = self.semantic_state
-        self.semantic_state = interpret_context(
-            self.fused, self.memory.vector, prior_semantic)
-        # the context every unit sees this round: the latest memory broadcast
-        # rides along in shared_memory
-        self.context = AgentContext(
-            external_input=self.fused,
-            internal_state=self._cached_state_vec,
-            shared_memory=self.memory.vector,
-            prior_semantic=prior_semantic)
-        self._cortical_round(tick)
 
         if self.config.mode != "no_inspector":
             _, verdict = inspect_alignment(
@@ -236,25 +222,9 @@ class EpisodeRuntime:
             self.replan_requested = False
         self.tracked_symbol = obs.symbol
 
-    def _cortical_round(self, tick: int) -> None:
-        candidates = {
-            "planner": self.plan_vec,
-            "perception": self.fused,
-            "semantic": self.semantic_state,
-            "manipulation": self._cached_action_vec,
-            "inspection": self.symbol_embedder.embed(self.tracked_symbol)
-            - self.symbol_embedder.embed(self.scenario.symbol_of(self.world)),
-        }
-        self.unit_outputs = {
-            name: combine_outputs(AgentOutput(vec, tick, name),
-                                  self.unit_outputs, self.connectivity)
-            for name, vec in candidates.items()
-        }
-
     def _make_plan(self, tick: int) -> None:
         self.replans += 1
-        self.plan_vec, self.plan = plan_mission(self.scenario.mission,
-                                                self.backend)
+        _, self.plan = plan_mission(self.scenario.mission, self.backend)
         self.registry.validate_assignment(self.plan.to_doc())
         self.pathway = route_by_difficulty(self.plan.to_doc())
         self._publish(PayloadKind.SUBTASK_ASSIGN, self.plan.to_doc(),
@@ -392,12 +362,8 @@ class EpisodeRuntime:
         self.belief = forward_filter(self.belief, action_key,
                                      self.state_index[obs.symbol], self.params)
         observed_vec = self.symbol_embedder.embed(obs.symbol)
-        if self.config.error_source == "latent":
-            predicted = self.latent.vector
-        else:
-            predicted = predict_state(self.belief, self.params,
-                                      self.phase_embeddings)
-        self.error = observed_vec - predicted
+        self.error = observed_vec - predict_state(self.belief, self.params,
+                                                  self.phase_embeddings)
         if self.config.mode == "reactive_only":
             return
         self.memory = memory_update(self.memory, observed_vec, self.fused,
@@ -417,7 +383,7 @@ class EpisodeRuntime:
             self.replan_requested = True
         self.latent = relay_update(self.latent, self._cached_action_vec,
                                    self.memory.vector, self._frontier_vec(),
-                                   self.error, self.config.lam, self.relay)
+                                   self.error, RELAY_LAM, self.relay)
 
     def _frontier_vec(self) -> np.ndarray:
         label = self.current_macro or self.current_action or "idle"

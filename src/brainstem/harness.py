@@ -17,11 +17,9 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Optional, Sequence
 
-from .episode import EpisodeConfig, Outcome, TrialResult, run_trial
+from .episode import MODES, EpisodeConfig, Outcome, TrialResult, run_trial
 from .errors import ConfigError, EmptyInput, IoError
 from .simenv import TASK_IDS
-
-MODES = ("full", "reactive_only", "no_inspector")
 
 
 def aggregate(values: Sequence[float],

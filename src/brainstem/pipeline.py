@@ -38,12 +38,13 @@ class LatentState:
 
 @dataclass(frozen=True)
 class RateConfig:
-    reactive_period: int = 1
+    """Loop periods in ticks; the reactive loop fires on every tick."""
+
     memory_period: int = 1000
     deliberative_period: int = 100_000
 
     def __post_init__(self):
-        for name in ("reactive_period", "memory_period", "deliberative_period"):
+        for name in ("memory_period", "deliberative_period"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -140,7 +141,6 @@ PATHWAYS = {
 class Pathway:
     difficulty: str
     stages: tuple
-    bypass_memory_route: bool = False  # reactive tasks may skip the planner
 
 
 def route_by_difficulty(plan) -> Pathway:

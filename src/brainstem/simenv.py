@@ -109,6 +109,8 @@ class ScenarioSpec:
     reactive_slowdown: float = 1.3
     timeout_ticks: int = 8000
     seed: int = 0
+    # object id -> the one viewpoint from which it is not occluded
+    reveal_map: Mapping[str, str] = field(default_factory=dict)
 
     def observation_alphabet(self) -> list:
         states = set(self.model.transitions)
@@ -232,8 +234,7 @@ def viewpoint_change(scenario: ScenarioSpec, world: WorldState,
     """Recompute occlusion for a new viewpoint; positions never change."""
     world = world.clone()
     world.viewpoint = direction
-    reveal = getattr(scenario, "_reveal_map", {})
-    for object_id, revealing in reveal.items():
+    for object_id, revealing in scenario.reveal_map.items():
         obj = world.objects.get(object_id)
         if obj is not None:
             obj.occluded = direction != revealing
@@ -653,9 +654,8 @@ def _task_7(seed: int):
                 "fetch apple": frozenset({"holding_apple"})},
         macro_vocab=("locate apple", "fetch apple"),
         reactive_script=("approach shelf", "look from left", "grasp apple"),
-        timeout_ticks=8000, seed=seed,
+        timeout_ticks=8000, seed=seed, reveal_map={"apple_1": "left"},
     )
-    spec._reveal_map = {"apple_1": "left"}
     return spec, world
 
 

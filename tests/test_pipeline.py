@@ -128,8 +128,7 @@ def test_every_difficulty_routes():
 # -- scheduler ----------------------------------------------------------------
 
 def test_test_ratio_firing_counts():
-    rates = RateConfig(reactive_period=1, memory_period=10,
-                       deliberative_period=100)
+    rates = RateConfig(memory_period=10, deliberative_period=100)
     trace = run_scheduler(rates, 1000)
     assert trace.count("reactive") == 1000
     assert trace.count("memory") == 100
