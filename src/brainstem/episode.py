@@ -1,20 +1,24 @@
 """Full-stack trial execution: every subsystem wired into one seeded episode.
 
 One episode runs a benchmark scenario through the registry, bus, role-playing
-agents, DAG planner, tree-search action selection, episodic memory, Bayes
-filter, latent relay, state review, and the per-tick reactive controller,
-all on the virtual-clock scheduler. Three agent configurations exist (see
-``MODES``): the full collective, a reactive-only ablation (fixed action
-script, no planning, no correction), and a no-inspector ablation.
+agents, DAG planner, tree-search action selection, Bayes filter, state
+review, and the per-tick reactive controller, all on the virtual-clock
+scheduler. Three agent configurations exist (see ``MODES``): the full
+collective, a reactive-only ablation (fixed action script, no planning, no
+correction), and a no-inspector ablation.
 
 Four things decide a trial's outcome: the world's scheduled events and
 stochastic action results; the planner and tree-search selector, which pick
 each action, replan, and abort at a dead end; state review at the memory
 rate, which requests a replan on symbol drift; and the inspector at the
 deliberative rate, which does the same (state review, at the faster rate,
-usually makes the comparison first). The reactive controller, the latent
-relay, the Bayes filter and the episodic memory with its broadcast still run
-on their loops, but no decision reads what they compute.
+usually makes the comparison first). The reactive controller and the Bayes
+filter that gives it its error term still run on their loops, but no
+decision reads what they compute. The latent relay, the episodic memory with
+its broadcast, and multimodal fusion stay library units
+(``pipeline.relay_update``, ``memory.memory_update``,
+``agents.fuse_observations``) that the episode does not call: the
+controller's policy ignores the latent, so it gets a zero vector.
 """
 
 from __future__ import annotations
@@ -27,18 +31,14 @@ from typing import Optional
 import numpy as np
 
 from .agents import (HashEmbedder, InspectionVerdict, ManipulationUnit,
-                     fuse_observations, inspect_alignment, plan_mission,
-                     provider_execute, worker_reflect)
+                     inspect_alignment, plan_mission, provider_execute,
+                     worker_reflect)
 from .backends import ScriptedBackend
 from .bus import MessageBus
 from .errors import (ConfigError, EmptyActionSet, NoExecutableNode,
                      UnknownAction)
 from .estimator import BeliefState, DbnParams, forward_filter, predict_state
-from .memory import ActionHistory, MemoryState, broadcast_memory, memory_update, \
-    tanh_consolidation
-from .pipeline import (LatentState, RateConfig, RelayMap, ReviewDecision,
-                       relay_update, route_by_difficulty, run_scheduler,
-                       state_review)
+from .pipeline import RateConfig, ReviewDecision, run_scheduler, state_review
 from .planner import build_htn_dag, generate_state_tree, select_action
 from .protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
                        PayloadKind, make_envelope, tick_to_timestamp)
@@ -48,11 +48,6 @@ from .simenv import (ScenarioSpec, WorldState, advance_clock, check_success,
                      observe, resolve_action, sample_duration)
 
 MODES = ("full", "reactive_only", "no_inspector")
-
-# Decay of the episodic memory and weight of the filter's error term in the
-# latent relay. Both only shape the reactive controller's inputs.
-MEMORY_ALPHA = 0.1
-RELAY_LAM = 0.2
 
 WORKER_EXPERTISE = {
     "Worker_1": ("perception", "object detection", "data validation"),
@@ -152,28 +147,21 @@ class EpisodeRuntime:
 
         self.symbol_embedder = HashEmbedder(dim, "symbol")
         self.action_embedder = HashEmbedder(dim, "action")
-        self.modality_embedders = {"vision": HashEmbedder(dim, "vision"),
-                                   "text": HashEmbedder(dim, "text")}
         self.params, self.state_index, self.state_labels = build_dbn(scenario)
         self.phase_embeddings = np.stack(
             [self.symbol_embedder.embed(s) for s in self.state_labels])
         self.belief = BeliefState.uniform(len(self.state_labels))
 
-        self.memory = MemoryState(np.zeros(dim), MEMORY_ALPHA)
-        self.consolidate = tanh_consolidation(dim, dim, dim)
-        self.relay = RelayMap(dim, dim, dim, dim)
-        self.latent = LatentState(np.zeros(dim))
+        # the policy ignores the latent l_t, so the controller gets zeros
+        self.latent = np.zeros(dim)
         self.controller = ReactiveController(
             dim, ReactiveGains(zeta=0.5, sigma=0.3, kp=0.6, kd=0.1),
             policy=lambda s, a, l: 0.2 * a)
-        self.history = ActionHistory()
         self.manipulation = ManipulationUnit()
 
         self.plan = None
-        self.pathway = None
         self.dag = None
         self.current_macro = None
-        self.fused = np.zeros(dim)
         self.error = np.zeros(dim)
         self.tracked_symbol = scenario.symbol_of(world)
 
@@ -204,11 +192,6 @@ class EpisodeRuntime:
             self.detail = "no viable plan after world change"
             return
         obs = observe(self.scenario, self.world)
-        self.fused = fuse_observations(
-            {"vision": {"visible": [o["id"] for o in obs.visible_objects]},
-             "text": self.scenario.mission},
-            self.modality_embedders)
-
         if self.config.mode != "no_inspector":
             _, verdict = inspect_alignment(
                 self.symbol_embedder.embed(self.tracked_symbol),
@@ -226,7 +209,6 @@ class EpisodeRuntime:
         self.replans += 1
         _, self.plan = plan_mission(self.scenario.mission, self.backend)
         self.registry.validate_assignment(self.plan.to_doc())
-        self.pathway = route_by_difficulty(self.plan.to_doc())
         self._publish(PayloadKind.SUBTASK_ASSIGN, self.plan.to_doc(),
                       "Leader_1", Importance.MEDIUM, tick)
         if self.plan.difficulty == "high":
@@ -301,7 +283,6 @@ class EpisodeRuntime:
         action = self.current_action
         feedback = resolve_action(self.scenario, self.world, action, self.rng)
         self.current_action = None
-        self.history.push(action)
         self._publish(PayloadKind.ACTION_FEEDBACK, feedback, "Worker_3",
                       Importance.MEDIUM, tick)
         if feedback["success"]:
@@ -345,7 +326,7 @@ class EpisodeRuntime:
             else:
                 self._select_next_action()
         self.controller.step(self._cached_state_vec, self._cached_action_vec,
-                             self.latent.vector, self.error)
+                             self.latent, self.error)
 
     def _scripted_next(self) -> None:
         script = self.scenario.reactive_script
@@ -366,10 +347,6 @@ class EpisodeRuntime:
                                                   self.phase_embeddings)
         if self.config.mode == "reactive_only":
             return
-        self.memory = memory_update(self.memory, observed_vec, self.fused,
-                                    self.consolidate)
-        broadcast_memory(self.memory, self.bus, "Planner_1", self.allocator,
-                         tick)
         # command forwarding to the reactive layer rides the memory rate
         if self.current_action is not None:
             self._publish(PayloadKind.HIGH_LEVEL_COMMAND,
@@ -381,13 +358,6 @@ class EpisodeRuntime:
             allocator=self.allocator, tick=tick)
         if verdict.decision is ReviewDecision.REPLAN:
             self.replan_requested = True
-        self.latent = relay_update(self.latent, self._cached_action_vec,
-                                   self.memory.vector, self._frontier_vec(),
-                                   self.error, RELAY_LAM, self.relay)
-
-    def _frontier_vec(self) -> np.ndarray:
-        label = self.current_macro or self.current_action or "idle"
-        return self.action_embedder.embed(label)
 
     def _deliberative(self, tick: int) -> None:
         if self.config.mode == "reactive_only":
