@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the eight-task benchmark under all three agent configurations.
+"""Run the eight-task benchmark under every agent configuration in ``MODES``.
 
 Writes one batch per configuration into the output directory and prints the
 markdown tables. Roughly a minute at the default 2 evals x 25 trials.

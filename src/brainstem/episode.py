@@ -3,9 +3,9 @@
 One episode runs a benchmark scenario through the registry, bus, role-playing
 agents, DAG planner, tree-search action selection, Bayes filter, state
 review, and the per-tick reactive controller, all on the virtual-clock
-scheduler. Three agent configurations exist (see ``MODES``): the full
-collective, a reactive-only ablation (fixed action script, no planning, no
-correction), and a no-inspector ablation.
+scheduler. Two agent configurations exist (see ``MODES``): the full
+collective and a reactive-only ablation (fixed action script, no planning,
+no correction).
 
 Four things decide a trial's outcome: the world's scheduled events and
 stochastic action results; the planner and tree-search selector, which pick
@@ -47,7 +47,7 @@ from .registry import AgentDescriptor, AgentRegistry, Role
 from .simenv import (ScenarioSpec, WorldState, advance_clock, check_success,
                      observe, resolve_action, sample_duration)
 
-MODES = ("full", "reactive_only", "no_inspector")
+MODES = ("full", "reactive_only")
 
 WORKER_EXPERTISE = {
     "Worker_1": ("perception", "object detection", "data validation"),
@@ -192,13 +192,12 @@ class EpisodeRuntime:
             self.detail = "no viable plan after world change"
             return
         obs = observe(self.scenario, self.world)
-        if self.config.mode != "no_inspector":
-            _, verdict = inspect_alignment(
-                self.symbol_embedder.embed(self.tracked_symbol),
-                self.symbol_embedder.embed(obs.symbol),
-                self.config.inspect_threshold)
-            if verdict is InspectionVerdict.REPLAN:
-                self.replan_requested = True
+        _, verdict = inspect_alignment(
+            self.symbol_embedder.embed(self.tracked_symbol),
+            self.symbol_embedder.embed(obs.symbol),
+            self.config.inspect_threshold)
+        if verdict is InspectionVerdict.REPLAN:
+            self.replan_requested = True
 
         if self.plan is None or self.replan_requested:
             self._make_plan(tick)
