@@ -15,10 +15,9 @@ deliberative rate, which does the same (state review, at the faster rate,
 usually makes the comparison first). The reactive controller and the Bayes
 filter that gives it its error term still run on their loops, but no
 decision reads what they compute. The latent relay, the episodic memory with
-its broadcast, and multimodal fusion stay library units
+its broadcast, and multimodal fusion are library units
 (``pipeline.relay_update``, ``memory.memory_update``,
-``agents.fuse_observations``) that the episode does not call: the
-controller's policy ignores the latent, so it gets a zero vector.
+``agents.fuse_observations``) that the episode does not call.
 """
 
 from __future__ import annotations

@@ -1,0 +1,26 @@
+"""The benchmark's span tracer must find every unit it wraps in ``src/``.
+
+``perfbench/spans.py`` wraps public functions and methods by name. A library
+unit that is renamed or deleted would otherwise surface only when the
+benchmark runs; here it fails the test suite.
+"""
+
+import importlib.util
+from pathlib import Path
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_resolves_every_wrapped_unit():
+    # instrumentation() looks each unit up by name and raises on a missing one
+    functions, methods = load_spans().Tracer().instrumentation()
+    assert len(functions) == 24
+    assert len(methods) == 9
