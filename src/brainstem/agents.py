@@ -2,10 +2,10 @@
 
 The numeric layer realizes the collective-coordination recurrence (own
 candidate plus connectivity-weighted neighbour outputs), multimodal fusion,
-an attention-style semantic blend, frontier-driven action proposal, and the
-plan/semantic-state comparison that triggers replans. Numeric maps are fixed
-deterministic realizations (hash embedders, convex blends); correctness
-claims target the composition laws, not learned behaviour.
+an attention-style semantic blend, and the plan/semantic-state comparison
+that triggers replans. Numeric maps are fixed deterministic realizations
+(hash embedders, convex blends); correctness claims target the composition
+laws, not learned behaviour.
 
 The contract layer parses and validates the leader / worker / provider JSON
 documents emitted by a pluggable completion backend.
@@ -21,8 +21,8 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NoExecutableNode, SchemaViolation,
-                     UnknownModality, UnknownWorker)
+from .errors import (DimensionMismatch, SchemaViolation, UnknownModality,
+                     UnknownWorker)
 from .protocol import (PayloadKind, collaboration_decision_problems,
                        decomposition_plan_problems, validate_schema)
 
@@ -183,39 +183,6 @@ def inspect_alignment(plan_vec, semantic_vec,
 
 
 # ---------------------------------------------------------------------------
-# manipulation: frontier-driven action proposal with continuity
-# ---------------------------------------------------------------------------
-
-class ManipulationUnit:
-    """Proposes the next executable plan node and repeats it until feedback."""
-
-    def __init__(self):
-        self.current: Optional[str] = None       # action node id in flight
-        self.completed: set = set()
-
-    def act(self, dag) -> str:
-        """Action label to execute now; sticky until complete() is called."""
-        if self.current is not None:
-            return dag.nodes[self.current].label
-        frontier = dag.executable_actions(self.completed)
-        if not frontier:
-            raise NoExecutableNode("plan frontier is empty")
-        self.current = frontier[0].node_id
-        return frontier[0].label
-
-    def complete(self, success: bool) -> None:
-        if self.current is None:
-            return
-        if success:
-            self.completed.add(self.current)
-        self.current = None
-
-    def reset(self) -> None:
-        self.current = None
-        self.completed = set()
-
-
-# ---------------------------------------------------------------------------
 # role contracts over a completion backend
 # ---------------------------------------------------------------------------
 
@@ -263,18 +230,14 @@ def _parse_json(text: str, what: str) -> dict:
             from None
 
 
-def plan_mission(mission: str, backend,
-                 embedder: Optional[HashEmbedder] = None):
-    """Leader decomposition: numeric plan vector plus the validated plan.
+def plan_mission(mission: str, backend) -> DecompositionPlan:
+    """Leader decomposition: the validated plan.
 
-    The plan document is checked against the leader contract before anything
-    downstream sees it; difficulty drives the pathway routing.
+    The plan document is checked against the leader contract, dependency
+    annotations included, before anything downstream sees it.
     """
     text = backend.complete("leader", mission)
-    doc = _parse_json(text, "plan")
-    plan = DecompositionPlan.from_doc(doc)
-    embedder = embedder if embedder is not None else HashEmbedder(namespace="plan")
-    return embedder.embed(plan.to_doc()), plan
+    return DecompositionPlan.from_doc(_parse_json(text, "plan"))
 
 
 def worker_reflect(subtask: Mapping, colleague_db: Mapping, backend

@@ -130,10 +130,9 @@ class ScriptedBackend:
     """Deterministic (role, key) -> canned response table.
 
     Unknown leader missions fall back to a generic single-subtask medium plan
-    (no concrete action annotation, which pushes the runtime onto the
-    selector-only out-of-distribution path). Unknown worker keys reflect as
-    self-sufficient; unknown provider keys return a deterministic completion
-    note. Set ``strict=True`` to turn missing entries into BackendError.
+    with no action annotation; the episode's tree-search selector picks every
+    action either way. Unknown worker keys reflect as self-sufficient;
+    unknown provider keys return a deterministic completion note. Set ``strict=True`` to turn missing entries into BackendError.
     """
 
     def __init__(self, table: Optional[Mapping] = None, strict: bool = False):

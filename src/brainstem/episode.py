@@ -1,23 +1,25 @@
 """Full-stack trial execution: every subsystem wired into one seeded episode.
 
 One episode runs a benchmark scenario through the registry, bus, role-playing
-agents, DAG planner, tree-search action selection, Bayes filter, state
-review, and the per-tick reactive controller, all on the virtual-clock
-scheduler. Two agent configurations exist (see ``MODES``): the full
-collective and a reactive-only ablation (fixed action script, no planning,
-no correction).
+agents, tree-search action selection, Bayes filter, state review, and the
+per-tick reactive controller, all on the virtual-clock scheduler. Two agent
+configurations exist (see ``MODES``): the full collective and a
+reactive-only ablation (fixed action script, no planning, no correction).
 
-Four things decide a trial's outcome: the world's scheduled events and
-stochastic action results; the planner and tree-search selector, which pick
-each action, replan, and abort at a dead end; state review at the memory
-rate, which requests a replan on symbol drift; and the inspector at the
-deliberative rate, which does the same (state review, at the faster rate,
-usually makes the comparison first). The reactive controller and the Bayes
-filter that gives it its error term still run on their loops, but no
-decision reads what they compute. The latent relay, the episodic memory with
-its broadcast, and multimodal fusion are library units
-(``pipeline.relay_update``, ``memory.memory_update``,
-``agents.fuse_observations``) that the episode does not call.
+The tree-search selector over the scenario's declared transition model picks
+every action the full collective takes, and aborts at a dead end. With the
+world's scheduled events and stochastic action results, that decides a
+trial's outcome. The leader plan, worker collaboration, and the replans that
+state review (memory rate) and the inspector (deliberative rate) request on
+symbol drift all run, but change no cell of the seeded grid: the only drift
+comes from a scheduled event (task 8's deletion), after which the symbol is
+the dead end ``apple_missing`` and the selector aborts. The reactive
+controller and the Bayes filter that gives it its error term run on their
+loops, but no decision reads what they compute. The HTN DAG, the latent
+relay, the episodic memory with its broadcast, and multimodal fusion are
+library units (``planner.build_htn_dag``, ``pipeline.relay_update``,
+``memory.memory_update``, ``agents.fuse_observations``) that the episode does
+not call.
 """
 
 from __future__ import annotations
@@ -29,16 +31,15 @@ from typing import Optional
 
 import numpy as np
 
-from .agents import (HashEmbedder, InspectionVerdict, ManipulationUnit,
+from .agents import (EMBED_DIM, HashEmbedder, InspectionVerdict,
                      inspect_alignment, plan_mission, provider_execute,
                      worker_reflect)
 from .backends import ScriptedBackend
 from .bus import MessageBus
-from .errors import (ConfigError, EmptyActionSet, NoExecutableNode,
-                     UnknownAction)
+from .errors import ConfigError, EmptyActionSet
 from .estimator import BeliefState, DbnParams, forward_filter, predict_state
 from .pipeline import RateConfig, ReviewDecision, run_scheduler, state_review
-from .planner import build_htn_dag, generate_state_tree, select_action
+from .planner import generate_state_tree, select_action
 from .protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
                        PayloadKind, make_envelope, tick_to_timestamp)
 from .reactive import ReactiveController, ReactiveGains
@@ -47,6 +48,10 @@ from .simenv import (ScenarioSpec, WorldState, advance_clock, check_success,
                      observe, resolve_action, sample_duration)
 
 MODES = ("full", "reactive_only")
+
+# depth-2 lookahead: declared models grade goal distance via proximity,
+# and the additive score backup rewards long detours at higher depths
+TREE_DEPTH = 2
 
 WORKER_EXPERTISE = {
     "Worker_1": ("perception", "object detection", "data validation"),
@@ -78,12 +83,6 @@ class EpisodeConfig:
     mode: str = "full"                # one of MODES
     memory_period: int = 100          # 1 virtual second
     deliberative_period: int = 1000   # 10 virtual seconds
-    dim: int = 16
-    review_threshold: float = 0.3
-    inspect_threshold: float = 0.5
-    # depth-2 lookahead: declared models grade goal distance via proximity,
-    # and the additive score backup rewards long detours at higher depths
-    tree_depth: int = 2
     trace_path: Optional[str] = None
     seconds_per_tick: Optional[float] = None  # bind the virtual clock to wall time
 
@@ -130,7 +129,6 @@ class EpisodeRuntime:
         self.config = config or EpisodeConfig()
         self.backend = backend or ScriptedBackend()
         self.rng = random.Random((scenario.seed * 7919 + scenario.task_id) & 0xFFFFFFFF)
-        dim = self.config.dim
 
         self.allocator = LogIdAllocator()
         self.registry = AgentRegistry()
@@ -144,24 +142,21 @@ class EpisodeRuntime:
             self.registry.register_agent(
                 AgentDescriptor(worker, Role.WORKER, expertise))
 
-        self.symbol_embedder = HashEmbedder(dim, "symbol")
-        self.action_embedder = HashEmbedder(dim, "action")
+        self.symbol_embedder = HashEmbedder(EMBED_DIM, "symbol")
+        self.action_embedder = HashEmbedder(EMBED_DIM, "action")
         self.params, self.state_index, self.state_labels = build_dbn(scenario)
         self.phase_embeddings = np.stack(
             [self.symbol_embedder.embed(s) for s in self.state_labels])
         self.belief = BeliefState.uniform(len(self.state_labels))
 
         # the policy ignores the latent l_t, so the controller gets zeros
-        self.latent = np.zeros(dim)
+        self.latent = np.zeros(EMBED_DIM)
         self.controller = ReactiveController(
-            dim, ReactiveGains(zeta=0.5, sigma=0.3, kp=0.6, kd=0.1),
+            EMBED_DIM, ReactiveGains(zeta=0.5, sigma=0.3, kp=0.6, kd=0.1),
             policy=lambda s, a, l: 0.2 * a)
-        self.manipulation = ManipulationUnit()
 
         self.plan = None
-        self.dag = None
-        self.current_macro = None
-        self.error = np.zeros(dim)
+        self.error = np.zeros(EMBED_DIM)
         self.tracked_symbol = scenario.symbol_of(world)
 
         self.current_action: Optional[str] = None
@@ -175,7 +170,7 @@ class EpisodeRuntime:
         self.replans = 0
         self.script_index = 0
 
-        self._cached_action_vec = np.zeros(dim)
+        self._cached_action_vec = np.zeros(EMBED_DIM)
         self._cached_state_vec = self.symbol_embedder.embed(self.tracked_symbol)
 
     # -- planning ------------------------------------------------------------
@@ -193,8 +188,7 @@ class EpisodeRuntime:
         obs = observe(self.scenario, self.world)
         _, verdict = inspect_alignment(
             self.symbol_embedder.embed(self.tracked_symbol),
-            self.symbol_embedder.embed(obs.symbol),
-            self.config.inspect_threshold)
+            self.symbol_embedder.embed(obs.symbol))
         if verdict is InspectionVerdict.REPLAN:
             self.replan_requested = True
 
@@ -205,19 +199,12 @@ class EpisodeRuntime:
 
     def _make_plan(self, tick: int) -> None:
         self.replans += 1
-        _, self.plan = plan_mission(self.scenario.mission, self.backend)
+        self.plan = plan_mission(self.scenario.mission, self.backend)
         self.registry.validate_assignment(self.plan.to_doc())
         self._publish(PayloadKind.SUBTASK_ASSIGN, self.plan.to_doc(),
                       "Leader_1", Importance.MEDIUM, tick)
         if self.plan.difficulty == "high":
             self._collaborate(tick)
-        try:
-            self.dag = build_htn_dag(self.plan.to_doc(),
-                                     self.scenario.macro_vocab)
-            self.manipulation.reset()
-        except UnknownAction:
-            self.dag = None  # out-of-distribution plan: selector-only mode
-        self.current_macro = None
         self.excluded = set()
 
     def _collaborate(self, tick: int) -> None:
@@ -255,17 +242,12 @@ class EpisodeRuntime:
         try:
             tree = generate_state_tree(
                 self.scenario.mission, symbol, available,
-                model=self.scenario.model, max_depth=self.config.tree_depth,
+                model=self.scenario.model, max_depth=TREE_DEPTH,
                 exclude_actions=self.excluded)
             choice = select_action(tree, available)
         except EmptyActionSet:
             self.pending_abort = True
             return
-        if self.dag is not None and self.current_macro is None:
-            try:
-                self.current_macro = self.manipulation.act(self.dag)
-            except NoExecutableNode:
-                self.current_macro = None
         self._begin(choice.selected_action)
 
     def _begin(self, action: str) -> None:
@@ -287,7 +269,6 @@ class EpisodeRuntime:
             self._cached_state_vec = self.symbol_embedder.embed(
                 self.scenario.symbol_of(self.world))
             self.tracked_symbol = self.scenario.symbol_of(self.world)
-            self._complete_macro_if_done()
             if self.config.mode == "reactive_only":
                 self.script_index += 1  # fixed script: advance only on success
             else:
@@ -296,14 +277,6 @@ class EpisodeRuntime:
             self.excluded.add(action)
         if check_success(self.world, self.scenario.goal):
             self.done = Outcome.SUCCESS
-
-    def _complete_macro_if_done(self) -> None:
-        if self.dag is None or self.current_macro is None:
-            return
-        done_states = self.scenario.macros.get(self.current_macro, frozenset())
-        if self.scenario.symbol_of(self.world) in done_states:
-            self.manipulation.complete(success=True)
-            self.current_macro = None
 
     # -- scheduler hooks ---------------------------------------------------------
 
@@ -352,8 +325,7 @@ class EpisodeRuntime:
                           "Planner_1", Importance.MEDIUM, tick)
         verdict = state_review(
             self.symbol_embedder.embed(self.tracked_symbol), observed_vec,
-            self.config.review_threshold, bus=self.bus,
-            allocator=self.allocator, tick=tick)
+            bus=self.bus, allocator=self.allocator, tick=tick)
         if verdict.decision is ReviewDecision.REPLAN:
             self.replan_requested = True
 

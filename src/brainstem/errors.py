@@ -71,10 +71,6 @@ class BackendError(BrainstemError):
     """Completion backend failed (timeout, malformed reply, missing script entry)."""
 
 
-class NoExecutableNode(BrainstemError):
-    """The plan frontier holds no executable action node."""
-
-
 class UnknownModality(BrainstemError):
     """An observation names a modality with no registered embedder."""
 
@@ -103,10 +99,6 @@ class EmptyActionSet(BrainstemError):
 
 class UnknownTask(BrainstemError):
     """Scenario requested for a task id outside the benchmark suite."""
-
-
-class IllegalAction(BrainstemError):
-    """Action preconditions are not met in the current world state."""
 
 
 # harness

@@ -474,30 +474,40 @@ def _toposort(order_ids: list, deps: dict) -> list:
     return result
 
 
-def build_htn_dag(plan: Mapping, action_vocab: Optional[Iterable[str]] = None) -> HtnDag:
-    """Compile a validated decomposition plan into a state/action DAG.
+def subtask_order(subtasks: Sequence[Mapping]) -> tuple:
+    """(subtask ids in execution order, id -> ids it waits on).
 
     Subtasks chain sequentially by subtask id unless they carry explicit
-    ``depends_on`` annotations. Each subtask becomes one action node between
-    two state nodes; the root state is ``start_state``.
+    ``depends_on`` annotations. Raises SchemaViolation when a dependency
+    names no subtask of the plan and CycleDetected when the dependencies
+    admit no order.
     """
-    subtasks = sorted(plan["subtasks"], key=lambda s: s["subtask_id"])
-    vocab = set(action_vocab) if action_vocab is not None else None
+    subtasks = sorted(subtasks, key=lambda s: s["subtask_id"])
     ids = [s["subtask_id"] for s in subtasks]
-    by_id = {s["subtask_id"]: s for s in subtasks}
-
     deps: dict = {}
     for i, subtask in enumerate(subtasks):
         sid = subtask["subtask_id"]
         if "depends_on" in subtask:
             for dep in subtask["depends_on"]:
-                if dep not in by_id:
+                if dep not in ids:
                     raise SchemaViolation(
-                        f"depends_on: {dep!r} is not a subtask in this plan")
+                        f"subtasks.depends_on: {sid} depends on {dep!r}, "
+                        "which is not a subtask in this plan")
             deps[sid] = list(subtask["depends_on"])
         else:
             deps[sid] = [ids[i - 1]] if i > 0 else []
-    order = _toposort(ids, deps)
+    return _toposort(ids, deps), deps
+
+
+def build_htn_dag(plan: Mapping, action_vocab: Optional[Iterable[str]] = None) -> HtnDag:
+    """Compile a validated decomposition plan into a state/action DAG.
+
+    Subtasks are ordered by :func:`subtask_order`. Each subtask becomes one
+    action node between two state nodes; the root state is ``start_state``.
+    """
+    vocab = set(action_vocab) if action_vocab is not None else None
+    by_id = {s["subtask_id"]: s for s in plan["subtasks"]}
+    order, deps = subtask_order(plan["subtasks"])
 
     nodes = {"s0": DagNode("s0", "state", START_STATE)}
     edges: list = []

@@ -20,7 +20,9 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Any
 
-from .errors import CanonicalizationError, ChecksumMismatch, ParseError, SchemaViolation
+from .errors import (CanonicalizationError, ChecksumMismatch, CycleDetected,
+                     ParseError, SchemaViolation)
+from .planner import state_tree_problems, subtask_order
 
 
 class Importance(str, Enum):
@@ -319,7 +321,11 @@ def _check_keys(body: dict, required: dict, optional: dict, problems: list,
 
 
 def decomposition_plan_problems(doc: Any) -> list:
-    """Violations of the leader-output contract; empty list when valid."""
+    """Violations of the leader-output contract; empty list when valid.
+
+    Dependency annotations must name subtasks of the plan and admit an
+    execution order (see :func:`planner.subtask_order`).
+    """
     problems: list = []
     if not isinstance(doc, dict):
         return ["plan: expected a document"]
@@ -377,6 +383,13 @@ def decomposition_plan_problems(doc: Any) -> list:
     if doc["difficulty"] in ("low", "medium") and len(doc["subtasks"]) > 1:
         problems.append("subtasks: only high-difficulty missions may split into "
                         "multiple subtasks")
+    if not problems:
+        try:
+            subtask_order(doc["subtasks"])
+        except SchemaViolation as exc:
+            problems.extend(exc.problems)
+        except CycleDetected as exc:
+            problems.append(f"subtasks.depends_on: {exc}")
     return problems
 
 
@@ -468,7 +481,6 @@ def _agent_response(body: dict) -> list:
 def _htn_memory(body: dict) -> list:
     # either an episodic-memory snapshot or a state-transition tree
     if isinstance(body, dict) and "next_state" in body:
-        from .planner import state_tree_problems
         return state_tree_problems(body)
     problems: list = []
     _check_keys(body, required={

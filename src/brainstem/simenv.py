@@ -4,7 +4,7 @@ No physics: contact failures are stochastic action outcomes, time is virtual
 (100 ticks per virtual second), and perturbations are scheduled events. Each
 scenario declares its true action rules (preconditions, effects, success
 probabilities, durations), a symbolic transition model for the planner, goal
-predicates, and the macro vocabulary used by scripted decomposition plans.
+predicates.
 """
 
 from __future__ import annotations
@@ -103,8 +103,6 @@ class ScenarioSpec:
     model: TransitionModel
     symbol_of: Callable             # world -> model state label
     scheduled_events: tuple = ()
-    macros: Mapping[str, frozenset] = field(default_factory=dict)
-    macro_vocab: tuple = ()
     reactive_script: tuple = ()
     reactive_slowdown: float = 1.3
     timeout_ticks: int = 8000
@@ -312,8 +310,6 @@ def _task_1(seed: int):
         task_id=1, category="physical", mission="grab cube from cabinet",
         goal={"type": "holding", "object": "cube_1"},
         action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
-        macros={"retrieve cube": frozenset({"holding_cube"})},
-        macro_vocab=("retrieve cube",),
         reactive_script=("open cabinet", "grasp cube"),
         timeout_ticks=4000, seed=seed,
     ), world
@@ -368,8 +364,6 @@ def _task_2(seed: int):
         task_id=2, category="visual", mission="grab the blue cube",
         goal={"type": "holding", "object": "cube_blue"},
         action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
-        macros={"pick blue cube": frozenset({"holding_blue"})},
-        macro_vocab=("pick blue cube",),
         reactive_script=("grasp blue cube",),
         timeout_ticks=6000, seed=seed,
     ), world
@@ -401,8 +395,6 @@ def _task_3(seed: int):
         task_id=3, category="semantic", mission="lift blue cube",
         goal={"type": "mark", "mark": "lifted"},
         action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
-        macros={"lift held cube": frozenset({"lifted"})},
-        macro_vocab=("lift held cube",),
         reactive_script=("lift",),
         timeout_ticks=3000, seed=seed,
     ), world
@@ -447,8 +439,6 @@ def _task_4(seed: int):
         task_id=4, category="correction", mission="try and plug the right charger",
         goal={"type": "mark", "mark": "plugged"},
         action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
-        macros={"plug charger": frozenset({"charger_plugged"})},
-        macro_vocab=("plug charger",),
         reactive_script=("plug port_1",),
         timeout_ticks=6000, seed=seed,
     ), world
@@ -491,7 +481,6 @@ def _task_5(seed: int):
         task_id=5, category="ood", mission="grab the harry potter book",
         goal={"type": "holding", "object": "book_hp"},
         action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
-        macros={}, macro_vocab=(),  # no scripted plan covers this mission
         reactive_script=("grasp book",),  # never searches: stays blind
         timeout_ticks=8000, seed=seed,
     ), world
@@ -581,11 +570,6 @@ def _task_6(seed: int):
         task_id=6, category="multimodal", mission="find and fetch the apple",
         goal={"type": "at", "object": "apple_1", "location": "delivery_zone"},
         action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
-        macros={"locate apple": frozenset({"apple_located", "near_apple",
-                                           "apple_in_view", "holding_apple",
-                                           "delivered"}),
-                "fetch apple": frozenset({"delivered"})},
-        macro_vocab=("locate apple", "fetch apple"),
         reactive_script=("explore room", "approach apple", "look closely",
                          "grasp apple", "deliver apple"),
         timeout_ticks=8000, seed=seed,
@@ -650,9 +634,6 @@ def _task_7(seed: int):
         task_id=7, category="long-horizon1", mission="fetch the apple (occlusion)",
         goal={"type": "holding", "object": "apple_1"},
         action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
-        macros={"locate apple": frozenset({"apple_visible", "holding_apple"}),
-                "fetch apple": frozenset({"holding_apple"})},
-        macro_vocab=("locate apple", "fetch apple"),
         reactive_script=("approach shelf", "look from left", "grasp apple"),
         timeout_ticks=8000, seed=seed, reveal_map={"apple_1": "left"},
     )
@@ -696,9 +677,6 @@ def _task_8(seed: int):
         scheduled_events=(ScheduledEvent(DELETION_TICK, "delete_object",
                                          {"object_id": "apple_1",
                                           "unless_held": True}),),
-        macros={"locate apple": frozenset({"apple_in_view", "holding_apple"}),
-                "fetch apple": frozenset({"holding_apple"})},
-        macro_vocab=("locate apple", "fetch apple"),
         reactive_script=("explore room", "approach apple", "look closely",
                          "grasp apple"),
         timeout_ticks=9000, seed=seed,

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from brainstem.agents import (AgentOutput, ConnectivityMatrix, HashEmbedder,
-                              InspectionVerdict, ManipulationUnit,
-                              combine_outputs, fuse_observations,
-                              inspect_alignment, interpret_context, plan_mission,
-                              provider_execute, worker_reflect)
+                              InspectionVerdict, combine_outputs,
+                              fuse_observations, inspect_alignment,
+                              interpret_context, plan_mission, provider_execute,
+                              worker_reflect)
 from brainstem.backends import RemoteBackend, ScriptedBackend
-from brainstem.errors import (BackendError, DimensionMismatch, NoExecutableNode,
-                              SchemaViolation, UnknownModality, UnknownWorker)
-from brainstem.planner import build_htn_dag
+from brainstem.errors import (BackendError, DimensionMismatch, SchemaViolation,
+                              UnknownModality, UnknownWorker)
 
 
 def out(agent_id, vector, t=0):
@@ -206,69 +205,21 @@ def test_threshold_monotone():
     assert harder is InspectionVerdict.REPLAN
 
 
-# -- manipulation ----------------------------------------------------------------
-
-def chain_dag():
-    plan = {"difficulty": "high", "subtasks": [
-        {"subtask_id": "ST1", "assigned_worker": "Worker_1",
-         "task_description": "open", "focus": ["a", "b", "c"],
-         "action": "open cabinet"},
-        {"subtask_id": "ST2", "assigned_worker": "Worker_2",
-         "task_description": "grasp", "focus": ["a", "b", "c"],
-         "action": "grasp cube"},
-    ]}
-    return build_htn_dag(plan, ["open cabinet", "grasp cube"])
-
-
-def test_frontier_action_proposed():
-    unit = ManipulationUnit()
-    assert unit.act(chain_dag()) == "open cabinet"
-
-
-def test_action_sticky_until_feedback():
-    unit = ManipulationUnit()
-    dag = chain_dag()
-    assert unit.act(dag) == "open cabinet"
-    assert unit.act(dag) == "open cabinet"
-    unit.complete(success=True)
-    assert unit.act(dag) == "grasp cube"
-
-
-def test_failure_retries_same_action():
-    unit = ManipulationUnit()
-    dag = chain_dag()
-    unit.act(dag)
-    unit.complete(success=False)
-    assert unit.act(dag) == "open cabinet"
-
-
-def test_empty_frontier_raises():
-    unit = ManipulationUnit()
-    dag = chain_dag()
-    unit.act(dag)
-    unit.complete(True)
-    unit.act(dag)
-    unit.complete(True)
-    with pytest.raises(NoExecutableNode):
-        unit.act(dag)
-
-
 # -- role contracts --------------------------------------------------------------
 
 def test_leader_difficulty_examples():
     backend = ScriptedBackend()
-    _, low = plan_mission("walk to the desk", backend)
+    low = plan_mission("walk to the desk", backend)
     assert low.difficulty == "low"
-    _, medium = plan_mission("fetch an apple on the desk", backend)
+    medium = plan_mission("fetch an apple on the desk", backend)
     assert medium.difficulty == "medium"
-    vector, high = plan_mission("make a chicken sandwich in the kitchen", backend)
+    high = plan_mission("make a chicken sandwich in the kitchen", backend)
     assert high.difficulty == "high"
     assert len(high.subtasks) >= 2
-    assert vector.shape == (16,)
 
 
 def test_unknown_mission_falls_back_to_generic_plan():
-    _, plan = plan_mission("grab the harry potter book", ScriptedBackend())
+    plan = plan_mission("grab the harry potter book", ScriptedBackend())
     assert plan.difficulty == "medium"
     assert len(plan.subtasks) == 1
     assert "action" not in plan.subtasks[0]

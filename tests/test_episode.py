@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
+from brainstem.backends import ScriptedBackend
 from brainstem.episode import (EpisodeConfig, EpisodeRuntime, Outcome, build_dbn,
                                run_trial)
-from brainstem.errors import ConfigError
+from brainstem.errors import ConfigError, SchemaViolation
 from brainstem.protocol import PayloadKind, decode_envelope, serialize_envelope
 from brainstem.simenv import load_scenario
 
@@ -48,8 +51,21 @@ def test_ood_mission_runs_without_scripted_plan():
     scenario, world = load_scenario(5, 0)
     runtime = EpisodeRuntime(scenario, world)
     result = runtime.run()
-    assert runtime.dag is None  # fallback plan had no recognized macro
     assert result.outcome in (Outcome.SUCCESS, Outcome.FAILURE)
+
+
+@pytest.mark.parametrize("index, depends_on", [(1, ["ST9"]), (0, ["ST2"])],
+                         ids=["dangling", "cyclic"])
+def test_plan_with_broken_dependencies_rejected(index, depends_on):
+    # a backend plan is outside input: its depends_on must name subtasks of
+    # the plan and admit an execution order before the episode acts on it.
+    # The scripted plan's ST2 depends on ST1, so ST1 -> ST2 closes a cycle.
+    plan = json.loads(ScriptedBackend().complete("leader",
+                                                 "find and fetch the apple"))
+    plan["subtasks"][index]["depends_on"] = depends_on
+    backend = ScriptedBackend({"leader": {"find and fetch the apple": plan}})
+    with pytest.raises(SchemaViolation):
+        run_trial(6, 0, backend=backend)
 
 
 def test_occlusion_task_uses_viewpoint_path():

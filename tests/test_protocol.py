@@ -9,7 +9,8 @@ from brainstem.errors import (CanonicalizationError, ChecksumMismatch, ParseErro
                               SchemaViolation)
 from brainstem.protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
                                 PayloadKind, canonicalize, compute_checksum,
-                                decode_envelope, encode_envelope, make_envelope,
+                                decode_envelope, decomposition_plan_problems,
+                                encode_envelope, make_envelope,
                                 serialize_envelope, validate_header, validate_schema)
 from support import crc32_oracle, random_envelope
 
@@ -241,6 +242,39 @@ def test_plan_schema_rejects_bad_focus_length():
     }
     with pytest.raises(SchemaViolation):
         validate_schema(PayloadKind.SUBTASK_ASSIGN, body)
+
+
+@pytest.mark.parametrize("deps, phrase", [
+    ({"ST2": ["ST9"]}, "'ST9', which is not a subtask"),
+    ({"ST1": ["ST2"], "ST2": ["ST1"]}, "cycle"),
+    # ST2 without depends_on chains after ST1 by id, closing the loop
+    ({"ST1": ["ST2"]}, "cycle"),
+    ({"ST1": ["ST1"]}, "cycle"),
+], ids=["dangling", "cyclic", "implicit-cycle", "self-loop"])
+def test_plan_schema_rejects_broken_dependencies(deps, phrase):
+    body = {"difficulty": "high", "subtasks": [
+        {"subtask_id": sid, "assigned_worker": worker,
+         "task_description": "a", "focus": ["x", "y", "z"]}
+        for sid, worker in (("ST1", "Worker_1"), ("ST2", "Worker_2"))]}
+    for subtask in body["subtasks"]:
+        if subtask["subtask_id"] in deps:
+            subtask["depends_on"] = deps[subtask["subtask_id"]]
+    problems = decomposition_plan_problems(body)
+    assert any(phrase in problem for problem in problems), problems
+    with pytest.raises(SchemaViolation):
+        validate_schema(PayloadKind.SUBTASK_ASSIGN, body)
+
+
+def test_plan_schema_accepts_dependency_order():
+    body = {"difficulty": "high", "subtasks": [
+        {"subtask_id": "ST1", "assigned_worker": "Worker_1",
+         "task_description": "a", "focus": ["x", "y", "z"],
+         "depends_on": ["ST2"]},
+        {"subtask_id": "ST2", "assigned_worker": "Worker_2",
+         "task_description": "b", "focus": ["x", "y", "z"],
+         "depends_on": []},
+    ]}
+    assert decomposition_plan_problems(body) == []
 
 
 def test_collaboration_schema_flag_must_match_requirement():
