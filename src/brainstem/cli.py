@@ -7,7 +7,7 @@ import json
 import sys
 
 from .episode import MODES
-from .errors import BrainstemError
+from .errors import BrainstemError, ConfigError, IoError, SchemaViolation
 from .harness import (BenchConfig, EvalBatch, aggregate, emit_report,
                       reference_aggregates, run_bench)
 from .simenv import TASK_IDS
@@ -16,7 +16,21 @@ from .simenv import TASK_IDS
 def _parse_tasks(text: str) -> tuple:
     if text == "all":
         return TASK_IDS
-    return tuple(int(t) for t in text.split(","))
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--task must be 'all' or a comma list of task "
+                          f"ids, got {text!r}") from None
+
+
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        raise SchemaViolation(f"{path}: malformed JSON ({exc})") from None
 
 
 def _parse_ratios(text: str) -> tuple:
@@ -59,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep_p = sub.add_parser("report", help="render a saved batch as a table")
     rep_p.add_argument("--format", default="md",
-                       choices=("md", "csv", "json-doc"))
+                       choices=("md", "csv", "json"))
     rep_p.add_argument("--input", required=True, help="batch.json path")
     rep_p.add_argument("--out", default=None, help="report file path")
     return parser
@@ -94,17 +108,14 @@ def _cmd_aggregate(args) -> int:
                 f"avg={record['computed_avg']:g} "
                 f"std={record['computed_std']:.4g}{flag}\n")
         return 0
-    with open(args.input, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    for name, values in doc.items():
+    for name, values in _read_json(args.input).items():
         avg, std = aggregate(values)
         sys.stdout.write(f"{name}: avg={avg:g} std={std:.4g}\n")
     return 0
 
 
 def _cmd_report(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as handle:
-        batch = EvalBatch.from_doc(json.load(handle))
+    batch = EvalBatch.from_doc(_read_json(args.input))
     text = emit_report(batch, args.format, args.out)
     if args.out is None:
         sys.stdout.write(text)

@@ -75,12 +75,6 @@ class UnknownModality(BrainstemError):
     """An observation names a modality with no registered embedder."""
 
 
-# memory
-
-class KeyAbsent(BrainstemError):
-    """Semantic-memory lookup for a key that was never stored."""
-
-
 # planner
 
 class CycleDetected(BrainstemError):
@@ -112,4 +106,4 @@ class EmptyInput(BrainstemError):
 
 
 class IoError(BrainstemError):
-    """Report or trace file could not be written."""
+    """A batch, report, trace or input file could not be read or written."""

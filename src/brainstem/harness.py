@@ -18,7 +18,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .episode import MODES, EpisodeConfig, Outcome, TrialResult, run_trial
-from .errors import ConfigError, EmptyInput, IoError
+from .errors import ConfigError, EmptyInput, IoError, SchemaViolation
 from .simenv import TASK_IDS
 
 
@@ -61,6 +61,13 @@ class BenchConfig:
         if self.backend not in ("scripted", "remote"):
             raise ConfigError(f"backend must be scripted or remote, "
                               f"got {self.backend!r}")
+        if self.memory_period < 1 or self.deliberative_period < 1:
+            raise ConfigError("memory_period and deliberative_period must "
+                              "be >= 1")
+        if self.seconds_per_tick is not None and \
+                not 0.0 <= self.seconds_per_tick < math.inf:
+            raise ConfigError(f"seconds_per_tick must be finite and >= 0, "
+                              f"got {self.seconds_per_tick}")
 
     def digest(self) -> str:
         doc = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -111,12 +118,22 @@ class EvalBatch:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "EvalBatch":
-        batch = cls(doc["config_digest"], doc["mode"], doc["seeds"])
-        batch.rows = [TaskRow(**r) for r in doc["rows"]]
-        batch.trials = [TrialResult(t["task_id"], t["seed"],
-                                    Outcome(t["outcome"]), t["ticks_elapsed"],
-                                    None, t.get("detail", ""))
-                        for t in doc["trials"]]
+        """Rebuild a batch from :meth:`to_doc` output.
+
+        Raises SchemaViolation when ``doc`` is not such a document.
+        """
+        try:
+            batch = cls(doc["config_digest"], doc["mode"], doc["seeds"])
+            batch.rows = [TaskRow(**r) for r in doc["rows"]]
+            batch.trials = [TrialResult(t["task_id"], t["seed"],
+                                        Outcome(t["outcome"]),
+                                        t["ticks_elapsed"], None,
+                                        t.get("detail", ""))
+                            for t in doc["trials"]]
+        except KeyError as exc:
+            raise SchemaViolation(f"batch: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise SchemaViolation(f"batch: {exc}") from None
         return batch
 
 
@@ -159,10 +176,13 @@ def run_bench(config: BenchConfig) -> EvalBatch:
                                   outcomes))
     if config.out_dir:
         import os
-        os.makedirs(config.out_dir, exist_ok=True)
         path = os.path.join(config.out_dir, "batch.json")
-        with open(path, "w", encoding="utf-8") as sink:
-            json.dump(batch.to_doc(), sink, indent=2, sort_keys=True)
+        try:
+            os.makedirs(config.out_dir, exist_ok=True)
+            with open(path, "w", encoding="utf-8") as sink:
+                json.dump(batch.to_doc(), sink, indent=2, sort_keys=True)
+        except OSError as exc:
+            raise IoError(f"cannot write batch to {path}: {exc}") from None
     return batch
 
 
@@ -237,7 +257,7 @@ def emit_report(batch: EvalBatch, fmt: str = "md",
         lines.append(f"# mode={batch.mode} config={batch.config_digest} "
                      f"n_seeds={len(batch.seeds)}")
         text = "\n".join(lines) + "\n"
-    elif fmt in ("json", "json-doc"):
+    elif fmt == "json":
         text = json.dumps(batch.to_doc(), indent=2, sort_keys=True) + "\n"
     else:
         raise ConfigError(f"unknown report format {fmt!r}")

@@ -1,28 +1,20 @@
-"""Episodic memory with exponential decay, plus the pipeline's small stores.
+"""Episodic memory with exponential decay and its snapshot broadcast.
 
 The shared memory vector follows m_t = (1 - alpha) * m_{t-1} + g(s_t, z_t,
-m_{t-1}) where g is a bounded deterministic consolidation map. The printed
-form of the recurrence uses -alpha * m_{t-1}, which negates rather than
-decays; that literal variant stays available behind ``literal_decay`` for
-fidelity experiments. Alongside it: a newest-first action-history ring and an
-exact-key semantic store with cosine nearest-neighbour lookup.
+m_{t-1}) where g is a bounded deterministic consolidation map. A snapshot of
+the vector can be broadcast over the bus for every subscribed agent to pull.
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, KeyAbsent
+from .errors import DimensionMismatch
 from .protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
                        PayloadKind, make_envelope, tick_to_timestamp)
-
-DEFAULT_MEMORY_DIM = 16
-DEFAULT_HISTORY_CAPACITY = 32
 
 
 @dataclass(frozen=True)
@@ -60,8 +52,7 @@ def tanh_consolidation(state_dim: int, feature_dim: int, memory_dim: int,
 
 
 def memory_update(prev: MemoryState, s_t, z_t,
-                  consolidate: Optional[Callable] = None,
-                  literal_decay: bool = False) -> MemoryState:
+                  consolidate: Optional[Callable] = None) -> MemoryState:
     """One consolidation step; ``consolidate=None`` means g == 0."""
     s_t = np.asarray(s_t, dtype=float)
     z_t = np.asarray(z_t, dtype=float)
@@ -74,8 +65,8 @@ def memory_update(prev: MemoryState, s_t, z_t,
     if gain.shape != prev.vector.shape:
         raise DimensionMismatch(
             f"consolidation output {gain.shape} != memory {prev.vector.shape}")
-    decay = -prev.alpha if literal_decay else (1.0 - prev.alpha)
-    vector = decay * prev.vector + gain
+    # the paper prints -alpha * m_{t-1}, which negates rather than decays
+    vector = (1.0 - prev.alpha) * prev.vector + gain
     return MemoryState(vector=vector, alpha=prev.alpha,
                        updated_at=prev.updated_at + 1)
 
@@ -89,72 +80,3 @@ def broadcast_memory(state: MemoryState, bus, sender_id: str,
         "tick": tick,
     })
     return bus.publish(make_envelope(header, payload, allocator))
-
-
-def append_memory_record(path: str, state: MemoryState, tick: int) -> None:
-    with open(path, "a", encoding="utf-8") as sink:
-        sink.write(json.dumps({"tick": tick,
-                               "vector": [float(v) for v in state.vector]})
-                   + "\n")
-
-
-class ActionHistory:
-    """Ring of the last k actions, newest first."""
-
-    def __init__(self, capacity: int = DEFAULT_HISTORY_CAPACITY):
-        self.capacity = capacity
-        self._ring: deque = deque(maxlen=capacity)
-
-    def push(self, action) -> "ActionHistory":
-        self._ring.appendleft(action)
-        return self
-
-    @property
-    def window(self) -> list:
-        return list(self._ring)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def to_doc(self) -> dict:
-        return {"actions": [str(a) for a in self._ring],
-                "capacity": self.capacity}
-
-
-class SemanticMemory:
-    """Concept key -> vector store with cosine nearest lookup."""
-
-    def __init__(self):
-        self._entries: dict = {}
-
-    def put(self, key: str, vector) -> None:
-        vector = np.asarray(vector, dtype=float)
-        if not np.all(np.isfinite(vector)):
-            raise ValueError(f"vector for {key!r} must be finite")
-        self._entries[key] = vector
-
-    def get(self, key: str) -> np.ndarray:
-        if key not in self._entries:
-            raise KeyAbsent(f"no semantic entry for {key!r}")
-        return self._entries[key]
-
-    def nearest(self, query) -> tuple:
-        """(key, cosine score) of the closest entry; ties by ascending key."""
-        if not self._entries:
-            raise KeyAbsent("semantic memory is empty")
-        query = np.asarray(query, dtype=float)
-        q_norm = np.linalg.norm(query)
-        best_key, best_score = None, -np.inf
-        for key in sorted(self._entries):
-            vector = self._entries[key]
-            denom = q_norm * np.linalg.norm(vector)
-            score = float(vector @ query / denom) if denom > 0 else 0.0
-            if score > best_score:
-                best_key, best_score = key, score
-        return best_key, best_score
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -127,28 +127,6 @@ def state_review(expected, observed, threshold: float = REVIEW_THRESHOLD,
 
 
 # ---------------------------------------------------------------------------
-# pathway routing
-# ---------------------------------------------------------------------------
-
-PATHWAYS = {
-    "low": ("Leader", "Planner"),
-    "medium": ("Leader", "Inspector", "Planner"),
-    "high": ("Leader", "Worker", "Inspector", "Planner"),
-}
-
-
-@dataclass(frozen=True)
-class Pathway:
-    difficulty: str
-    stages: tuple
-
-
-def route_by_difficulty(plan) -> Pathway:
-    difficulty = plan["difficulty"] if isinstance(plan, dict) else plan.difficulty
-    return Pathway(difficulty, PATHWAYS[difficulty])
-
-
-# ---------------------------------------------------------------------------
 # virtual-clock scheduler
 # ---------------------------------------------------------------------------
 

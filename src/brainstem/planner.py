@@ -271,32 +271,18 @@ def hop_proximity(transitions: Mapping[str, Sequence[tuple]],
 
 
 def generate_state_tree(task_desc: str, current_state: str,
-                        available_actions: Sequence[str],
-                        observations=None, htn=None, *,
-                        model: Optional[TransitionModel] = None,
-                        backend=None,
+                        available_actions: Sequence[str], *,
+                        model: TransitionModel,
                         max_depth: int = MAX_TREE_DEPTH,
                         exclude_actions: Iterable[str] = ()) -> StateTree:
     """Expand the reachable state tree from ``current_state``.
 
-    Expansion uses the scenario's declared transition model, or a completion
-    backend returning a tree document. Unsafe branches and unavailable
-    actions are pruned before scoring; the returned tree always passes
-    :func:`validate_state_tree`.
+    Expansion follows the scenario's declared transition model. Unsafe
+    branches and unavailable actions are pruned before scoring; the returned
+    tree always passes :func:`validate_state_tree`.
     """
     if not available_actions:
         raise EmptyActionSet(f"no actions available for {task_desc!r}")
-    if backend is not None:
-        text = backend.complete("state_tree", {
-            "task_description": task_desc,
-            "current_state": current_state,
-            "available_actions": list(available_actions),
-            "observations": observations,
-            "htn": htn,
-        })
-        return validate_state_tree(text, available_actions)
-    if model is None:
-        raise EmptyActionSet("neither a transition model nor a backend was given")
 
     usable = [a for a in available_actions if a not in set(exclude_actions)]
     if not usable:
@@ -377,33 +363,6 @@ def select_action(tree: StateTree, available_actions: Sequence[str],
         f"(gamma={gamma})")
 
 
-def validate_action_choice(document, available_actions: Sequence[str]) -> ActionChoice:
-    """Parse a selector output document; the action must be available."""
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except ValueError as exc:
-            raise SchemaViolation(f"choice: malformed JSON ({exc})") from None
-    problems: list = []
-    if not isinstance(document, dict):
-        raise SchemaViolation("choice: expected a document")
-    for name in sorted({"selected_action", "reason"} - set(document)):
-        problems.append(f"{name}: missing required field")
-    for name in sorted(set(document) - {"selected_action", "reason"}):
-        problems.append(f"{name}: unknown field")
-    if not problems:
-        action = document["selected_action"]
-        if not isinstance(action, str) or not action:
-            problems.append("selected_action: expected a non-empty string")
-        elif action != NOOP_ACTION and action not in available_actions:
-            problems.append(f"selected_action: {action!r} not in available_actions")
-        if not isinstance(document["reason"], str) or not document["reason"]:
-            problems.append("reason: expected a non-empty string")
-    if problems:
-        raise SchemaViolation(problems)
-    return ActionChoice(document["selected_action"], document["reason"])
-
-
 # ---------------------------------------------------------------------------
 # HTN DAG compilation
 # ---------------------------------------------------------------------------
@@ -427,30 +386,6 @@ class HtnDag:
 
     def action_labels(self) -> list:
         return [self.nodes[nid].label for nid in self.execution_order]
-
-    def executable_actions(self, completed: Iterable[str]) -> list:
-        """Action nodes whose predecessor states are all reached.
-
-        A state is reached when it is the root or its producing action is in
-        ``completed`` (action node ids).
-        """
-        done = set(completed)
-        produced_by = {dst: src for (src, dst) in self.edges
-                       if self.nodes[src].kind == "action"}
-        reached = {self.root}
-        for nid, node in self.nodes.items():
-            if node.kind == "state" and produced_by.get(nid) in done:
-                reached.add(nid)
-        preds: dict = {}
-        for src, dst in self.edges:
-            preds.setdefault(dst, []).append(src)
-        out = []
-        for nid in self.execution_order:
-            if nid in done:
-                continue
-            if all(p in reached for p in preds.get(nid, [])):
-                out.append(self.nodes[nid])
-        return out
 
 
 def _toposort(order_ids: list, deps: dict) -> list:

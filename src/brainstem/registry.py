@@ -183,20 +183,3 @@ class AgentRegistry:
             if agent_id is None:
                 return list(self._crash_records)
             return [r for r in self._crash_records if r.agent_id == agent_id]
-
-
-def load_expertise_db(path: str) -> list:
-    """Load agent descriptors from a JSON config file.
-
-    Expected shape: a list of {"agent_id", "role", "expertise"} documents.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    out = []
-    for entry in raw:
-        out.append(AgentDescriptor(
-            agent_id=entry["agent_id"],
-            role=Role(entry["role"]),
-            expertise=tuple(entry.get("expertise", ())),
-        ))
-    return out

@@ -13,14 +13,11 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional
 
-from .agents import HashEmbedder
 from .errors import UnknownAction, UnknownTask
 from .planner import TransitionModel, hop_proximity
 
 TICKS_PER_SECOND = 100
 DELETION_TICK = 60 * TICKS_PER_SECOND  # "dynamic deletion" fires at 60 s
-
-_OBS_EMBEDDER = HashEmbedder(namespace="observation")
 
 
 @dataclass
@@ -67,14 +64,6 @@ class Observation:
     tick: int
     symbol: str
 
-    @property
-    def embedding(self):
-        return _OBS_EMBEDDER.embed({
-            "visible": [o["id"] for o in self.visible_objects],
-            "gripper": self.gripper.get("holding"),
-            "symbol": self.symbol,
-        })
-
 
 @dataclass(frozen=True)
 class ScheduledEvent:
@@ -107,8 +96,6 @@ class ScenarioSpec:
     reactive_slowdown: float = 1.3
     timeout_ticks: int = 8000
     seed: int = 0
-    # object id -> the one viewpoint from which it is not occluded
-    reveal_map: Mapping[str, str] = field(default_factory=dict)
 
     def observation_alphabet(self) -> list:
         states = set(self.model.transitions)
@@ -225,18 +212,6 @@ def check_success(world: WorldState, goal: dict) -> bool:
         return (obj is not None and obj.present
                 and obj.location == goal["location"])
     raise ValueError(f"unknown goal type {goal['type']!r}")
-
-
-def viewpoint_change(scenario: ScenarioSpec, world: WorldState,
-                     direction: str) -> WorldState:
-    """Recompute occlusion for a new viewpoint; positions never change."""
-    world = world.clone()
-    world.viewpoint = direction
-    for object_id, revealing in scenario.reveal_map.items():
-        obj = world.objects.get(object_id)
-        if obj is not None:
-            obj.occluded = direction != revealing
-    return world
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +610,7 @@ def _task_7(seed: int):
         goal={"type": "holding", "object": "apple_1"},
         action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
         reactive_script=("approach shelf", "look from left", "grasp apple"),
-        timeout_ticks=8000, seed=seed, reveal_map={"apple_1": "left"},
+        timeout_ticks=8000, seed=seed,
     )
     return spec, world
 
@@ -694,37 +669,3 @@ def load_scenario(task_id: int, seed: int = 0):
     if task_id not in _TASKS:
         raise UnknownTask(f"task_id must be 1..8, got {task_id}")
     return _TASKS[task_id](seed)
-
-
-def scenario_doc(scenario: ScenarioSpec, world: WorldState) -> dict:
-    """Plain structured record of a loaded scenario.
-
-    Scenario identity is (task_id, seed); this document is the declarative
-    view written next to episode logs.
-    """
-    import dataclasses
-
-    return {
-        "task_id": scenario.task_id,
-        "seed": scenario.seed,
-        "mission": scenario.mission,
-        "goal": scenario.goal,
-        "objects": {k: dataclasses.asdict(v)
-                    for k, v in sorted(world.objects.items())},
-        "containers": {k: dict(v) for k, v in world.containers.items()},
-        "events": [{"tick": e.tick, "kind": e.kind, "params": e.params}
-                   for e in scenario.scheduled_events],
-        "transitions": {s: [list(t) for t in outs]
-                        for s, outs in scenario.model.transitions.items()},
-        "action_vocab": list(scenario.action_vocab),
-        "timeout_ticks": scenario.timeout_ticks,
-    }
-
-
-def write_scenario_file(path: str, scenario: ScenarioSpec,
-                        world: WorldState) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as sink:
-        json.dump(scenario_doc(scenario, world), sink, indent=2,
-                  sort_keys=True)

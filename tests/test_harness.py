@@ -156,3 +156,35 @@ def test_cli_aggregate_custom_file(tmp_path, capsys):
     path.write_text(json.dumps({"row": [1, 2, 3]}))
     assert main(["aggregate", "--input", str(path)]) == 0
     assert "avg=2" in capsys.readouterr().out
+
+
+def test_cli_json_report_loads_back_as_the_same_trials(tmp_path, capsys):
+    batch = run_bench(small_config(out_dir=str(tmp_path)))
+    assert main(["report", "--input", str(tmp_path / "batch.json"),
+                 "--format", "json"]) == 0
+    restored = EvalBatch.from_doc(json.loads(capsys.readouterr().out))
+    assert restored.trials == batch.trials
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--ratios", "1,0,1000"],
+    ["run", "--task", "3,x"],
+    ["run", "--seconds-per-tick", "-0.001"],
+    ["report", "--input", "{tmp}/missing.json"],
+    ["report", "--input", "{tmp}/no_mode.json"],
+    ["report", "--input", "{tmp}/not_json.txt"],
+    ["aggregate", "--input", "{tmp}/missing.json"],
+    ["run", "--task", "3", "--trials", "1", "--evals", "1",
+     "--out", "{tmp}/regular_file/out"],
+], ids=["ratios", "task", "seconds_per_tick", "report_missing",
+        "report_no_mode", "report_not_json", "aggregate_missing",
+        "out_under_file"])
+def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
+    (tmp_path / "no_mode.json").write_text(json.dumps(
+        {"config_digest": "x", "seeds": [], "rows": [], "trials": []}))
+    (tmp_path / "not_json.txt").write_text("mode: full\n")
+    (tmp_path / "regular_file").write_text("")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

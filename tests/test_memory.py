@@ -2,13 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from brainstem.bus import MessageBus
-from brainstem.errors import DimensionMismatch, KeyAbsent
-from brainstem.memory import (ActionHistory, MemoryState, SemanticMemory,
-                              broadcast_memory, memory_update,
+from brainstem.errors import DimensionMismatch
+from brainstem.memory import (MemoryState, broadcast_memory, memory_update,
                               tanh_consolidation)
 from brainstem.protocol import LogIdAllocator, PayloadKind
 from brainstem.registry import AgentDescriptor, AgentRegistry, Role
@@ -30,12 +27,6 @@ def test_alpha_one_full_replacement():
 
     m1 = memory_update(state([3.0, 7.0], 1.0), np.zeros(2), np.zeros(2), g)
     assert np.array_equal(m1.vector, [0.25, -0.5])
-
-
-def test_literal_decay_variant_negates():
-    m1 = memory_update(state([1.0, 0.0], 0.1), np.zeros(2), np.zeros(2),
-                       literal_decay=True)
-    assert np.allclose(m1.vector, [-0.1, 0.0], atol=0)
 
 
 def test_decay_law_norm():
@@ -121,102 +112,3 @@ def test_late_registration_misses_past_broadcasts():
     broadcast_memory(state([2.0], 0.1), bus, "Leader_1", allocator, tick=2)
     envelope = bus.next_message("Worker_1")
     assert envelope.payload.body["vector"] == [2.0]
-
-
-# -- action history -------------------------------------------------------------
-
-def test_history_ring_semantics():
-    history = ActionHistory(capacity=3)
-    for action in "abcd":
-        history.push(action)
-    assert history.window == ["d", "c", "b"]
-
-
-def test_empty_history_reads_empty():
-    assert ActionHistory().window == []
-
-
-def test_history_exactly_k_items_newest_first():
-    k = 5
-    history = ActionHistory(capacity=k)
-    for i in range(k):
-        history.push(i)
-    assert history.window == list(range(k - 1, -1, -1))
-
-
-@given(st.lists(st.text(min_size=1, max_size=4), max_size=40),
-       st.integers(min_value=1, max_value=8))
-def test_history_pure_function_of_pushes(actions, capacity):
-    a = ActionHistory(capacity)
-    b = ActionHistory(capacity)
-    for act in actions:
-        a.push(act)
-        b.push(act)
-    assert a.window == b.window == list(reversed(actions))[:capacity]
-
-
-# -- semantic memory -----------------------------------------------------------
-
-def test_put_get_round_trip():
-    store = SemanticMemory()
-    store.put("apple", [1.0, 2.0, 3.0])
-    assert np.array_equal(store.get("apple"), [1.0, 2.0, 3.0])
-
-
-def test_get_missing_key_raises():
-    with pytest.raises(KeyAbsent):
-        SemanticMemory().get("ghost")
-
-
-def test_nearest_self_similarity_is_one():
-    store = SemanticMemory()
-    store.put("apple", [0.2, 0.8, -0.1])
-    key, score = store.nearest([0.2, 0.8, -0.1])
-    assert key == "apple"
-    assert score == pytest.approx(1.0)
-
-
-def test_nearest_matches_bruteforce_cosine():
-    rng = np.random.default_rng(6)
-    store = SemanticMemory()
-    entries = {f"k{i}": rng.standard_normal(8) for i in range(20)}
-    for key, vec in entries.items():
-        store.put(key, vec)
-    for _ in range(50):
-        query = rng.standard_normal(8)
-        scores = {
-            key: float(vec @ query /
-                       (np.linalg.norm(vec) * np.linalg.norm(query)))
-            for key, vec in entries.items()
-        }
-        expected = min(k for k, s in scores.items() if s == max(scores.values()))
-        assert store.nearest(query)[0] == expected
-
-
-def test_nearest_perturbed_entry_wins():
-    store = SemanticMemory()
-    store.put("e1", [1.0, 0.0])
-    store.put("e2", [0.0, 1.0])
-    key, _ = store.nearest([1.0, 1e-3])
-    assert key == "e1"
-
-
-def test_nearest_tie_breaks_ascending_key():
-    store = SemanticMemory()
-    store.put("b", [1.0, 0.0])
-    store.put("a", [2.0, 0.0])  # same direction, same cosine
-    key, score = store.nearest([3.0, 0.0])
-    assert key == "a"
-    assert score == pytest.approx(1.0)
-
-
-def test_memory_records_append_to_file(tmp_path):
-    import json
-
-    from brainstem.memory import append_memory_record
-    path = tmp_path / "episode.mem"
-    for t in (1, 2, 3):
-        append_memory_record(str(path), state([0.5 * t], 0.1), tick=t)
-    lines = path.read_text().strip().splitlines()
-    assert [json.loads(l)["tick"] for l in lines] == [1, 2, 3]
-    assert json.loads(lines[2])["vector"] == [1.5]

@@ -3,9 +3,9 @@ import pytest
 
 from brainstem.bus import MessageBus
 from brainstem.errors import DimensionMismatch
-from brainstem.pipeline import (LatentState, Pathway, RateConfig, RelayMap,
-                                ReviewDecision, relay_update,
-                                route_by_difficulty, run_scheduler, state_review)
+from brainstem.pipeline import (LatentState, RateConfig, RelayMap,
+                                ReviewDecision, relay_update, run_scheduler,
+                                state_review)
 from brainstem.protocol import Importance, LogIdAllocator
 from brainstem.registry import AgentDescriptor, AgentRegistry, Role
 
@@ -105,24 +105,6 @@ def test_drift_monotone_in_perturbation():
                  for eps in (0.0, 0.1, 0.2, 0.5, 1.0)]
     flips = [d is ReviewDecision.REPLAN for d in decisions]
     assert flips == sorted(flips)  # once Replan, stays Replan as drift grows
-
-
-# -- routing ------------------------------------------------------------------
-
-def test_pathways_per_difficulty():
-    assert route_by_difficulty({"difficulty": "low"}).stages == \
-        ("Leader", "Planner")
-    assert route_by_difficulty({"difficulty": "medium"}).stages == \
-        ("Leader", "Inspector", "Planner")
-    assert route_by_difficulty({"difficulty": "high"}).stages == \
-        ("Leader", "Worker", "Inspector", "Planner")
-
-
-def test_every_difficulty_routes():
-    for difficulty in ("low", "medium", "high"):
-        pathway = route_by_difficulty({"difficulty": difficulty})
-        assert isinstance(pathway, Pathway)
-        assert pathway.stages
 
 
 # -- scheduler ----------------------------------------------------------------

