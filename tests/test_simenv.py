@@ -131,6 +131,18 @@ def test_occlusion_hidden_until_viewpoint_change():
     assert before == after  # a viewpoint change never moves objects
 
 
+def test_viewpoint_change_never_moves_objects():
+    scenario, world = load_scenario(7, 0)
+    rng = random.Random(0)
+    world, _, _ = step(scenario, world, "approach shelf", rng)
+    before = {k: (v.location, v.container) for k, v in world.objects.items()}
+    for action in ("look from left", "look from right"):
+        moved, _, _ = step(scenario, world, action, rng)
+        after = {k: (v.location, v.container)
+                 for k, v in moved.objects.items()}
+        assert before == after
+
+
 def test_grasp_occluded_apple_fails():
     scenario, world = load_scenario(7, 0)
     rng = random.Random(0)
