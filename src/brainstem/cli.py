@@ -33,6 +33,10 @@ def _read_json(path: str):
         raise SchemaViolation(f"{path}: malformed JSON ({exc})") from None
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_ratios(text: str) -> tuple:
     parts = [int(p) for p in text.split(",")]
     if len(parts) != 3 or parts[0] != 1:
@@ -108,7 +112,13 @@ def _cmd_aggregate(args) -> int:
                 f"avg={record['computed_avg']:g} "
                 f"std={record['computed_std']:.4g}{flag}\n")
         return 0
-    for name, values in _read_json(args.input).items():
+    doc = _read_json(args.input)
+    if not isinstance(doc, dict) or not all(
+            isinstance(values, list) and all(_is_number(v) for v in values)
+            for values in doc.values()):
+        raise SchemaViolation(f"{args.input}: expected an object of "
+                              "name -> list of numbers")
+    for name, values in doc.items():
         avg, std = aggregate(values)
         sys.stdout.write(f"{name}: avg={avg:g} std={std:.4g}\n")
     return 0

@@ -1,10 +1,10 @@
 """Full-stack trial execution: every subsystem wired into one seeded episode.
 
 One episode runs a benchmark scenario through the registry, bus, role-playing
-agents, tree-search action selection, Bayes filter, state review, and the
-per-tick reactive controller, all on the virtual-clock scheduler. Two agent
-configurations exist (see ``MODES``): the full collective and a
-reactive-only ablation (fixed action script, no planning, no correction).
+agents, tree-search action selection, state review, and the per-tick reactive
+controller, all on the virtual-clock scheduler. Two agent configurations exist
+(see ``MODES``): the full collective and a reactive-only ablation (fixed
+action script, no planning, no correction).
 
 The tree-search selector over the scenario's declared transition model picks
 every action the full collective takes, and aborts at a dead end. With the
@@ -14,16 +14,19 @@ state review (memory rate) and the inspector (deliberative rate) request on
 symbol drift all run, but change no cell of the seeded grid: the only drift
 comes from a scheduled event (task 8's deletion), after which the symbol is
 the dead end ``apple_missing`` and the selector aborts. The reactive
-controller and the Bayes filter that gives it its error term run on their
-loops, but no decision reads what they compute. The HTN DAG, the latent
+controller still runs on every tick, with zero latent and error inputs,
+although no decision reads its output. It is about nine tenths of an
+episode's time, and it stays until ``perfbench``'s traced runs are bounded
+for a program that much faster. The Bayes filter, the HTN DAG, the latent
 relay, the episodic memory with its broadcast, and multimodal fusion are
-library units (``planner.build_htn_dag``, ``pipeline.relay_update``,
-``memory.memory_update``, ``agents.fuse_observations``) that the episode does
-not call.
+library units (``estimator.forward_filter``, ``planner.build_htn_dag``,
+``pipeline.relay_update``, ``memory.memory_update``,
+``agents.fuse_observations``) that the episode does not call.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -37,15 +40,15 @@ from .agents import (EMBED_DIM, HashEmbedder, InspectionVerdict,
 from .backends import ScriptedBackend
 from .bus import MessageBus
 from .errors import ConfigError, EmptyActionSet
-from .estimator import BeliefState, DbnParams, forward_filter, predict_state
 from .pipeline import RateConfig, ReviewDecision, run_scheduler, state_review
 from .planner import generate_state_tree, select_action
 from .protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
                        PayloadKind, make_envelope, tick_to_timestamp)
 from .reactive import ReactiveController, ReactiveGains
 from .registry import AgentDescriptor, AgentRegistry, Role
-from .simenv import (ScenarioSpec, WorldState, advance_clock, check_success,
-                     observe, resolve_action, sample_duration)
+from .simenv import (REACTIVE_SLOWDOWN, ScenarioSpec, WorldState,
+                     advance_clock, check_success, observe, resolve_action,
+                     sample_duration)
 
 MODES = ("full", "reactive_only")
 
@@ -89,34 +92,16 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.memory_period < 1 or self.deliberative_period < 1:
+            raise ConfigError("memory_period and deliberative_period must "
+                              "be >= 1")
+        if self.seconds_per_tick is not None and \
+                not 0.0 <= self.seconds_per_tick < math.inf:
+            raise ConfigError(f"seconds_per_tick must be finite and >= 0, "
+                              f"got {self.seconds_per_tick}")
 
     def rates(self) -> RateConfig:
         return RateConfig(self.memory_period, self.deliberative_period)
-
-
-def build_dbn(scenario: ScenarioSpec, smoothing: float = 0.95):
-    """Action-conditioned transition/emission matrices from the declared model."""
-    states = scenario.observation_alphabet()
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    actions = list(scenario.action_vocab) + ["noop"]
-    transition = {}
-    for action in actions:
-        matrix = np.eye(n)
-        for state, outs in scenario.model.transitions.items():
-            rows = [(p, nxt) for (act, p, nxt) in outs if act == action]
-            if rows:
-                matrix[index[state]] = 0.0
-                for p, nxt in rows:
-                    matrix[index[state], index[nxt]] += p
-                matrix[index[state]] /= matrix[index[state]].sum()
-        transition[action] = matrix
-    if n > 1:
-        emission = np.full((n, n), (1.0 - smoothing) / (n - 1))
-        np.fill_diagonal(emission, smoothing)
-    else:
-        emission = np.ones((1, 1))
-    return DbnParams(transition=transition, emission=emission), index, states
 
 
 class EpisodeRuntime:
@@ -144,19 +129,16 @@ class EpisodeRuntime:
 
         self.symbol_embedder = HashEmbedder(EMBED_DIM, "symbol")
         self.action_embedder = HashEmbedder(EMBED_DIM, "action")
-        self.params, self.state_index, self.state_labels = build_dbn(scenario)
-        self.phase_embeddings = np.stack(
-            [self.symbol_embedder.embed(s) for s in self.state_labels])
-        self.belief = BeliefState.uniform(len(self.state_labels))
 
-        # the policy ignores the latent l_t, so the controller gets zeros
+        # the policy ignores the latent l_t and no estimator feeds the error
+        # term, so the controller gets zeros for both
         self.latent = np.zeros(EMBED_DIM)
+        self.error = np.zeros(EMBED_DIM)
         self.controller = ReactiveController(
             EMBED_DIM, ReactiveGains(zeta=0.5, sigma=0.3, kp=0.6, kd=0.1),
             policy=lambda s, a, l: 0.2 * a)
 
         self.plan = None
-        self.error = np.zeros(EMBED_DIM)
         self.tracked_symbol = scenario.symbol_of(world)
 
         self.current_action: Optional[str] = None
@@ -252,7 +234,7 @@ class EpisodeRuntime:
 
     def _begin(self, action: str) -> None:
         rule = self.scenario.rules[action]
-        slowdown = (self.scenario.reactive_slowdown
+        slowdown = (REACTIVE_SLOWDOWN
                     if self.config.mode == "reactive_only" else 1.0)
         duration = sample_duration(rule, self.rng, slowdown)
         self.current_action = action
@@ -307,24 +289,17 @@ class EpisodeRuntime:
         self._begin(action)
 
     def _memory_step(self, tick: int) -> None:
-        if self.done is not None:
+        if self.done is not None or self.config.mode == "reactive_only":
             return
         obs = observe(self.scenario, self.world)
-        action_key = self.current_action or "noop"
-        self.belief = forward_filter(self.belief, action_key,
-                                     self.state_index[obs.symbol], self.params)
-        observed_vec = self.symbol_embedder.embed(obs.symbol)
-        self.error = observed_vec - predict_state(self.belief, self.params,
-                                                  self.phase_embeddings)
-        if self.config.mode == "reactive_only":
-            return
         # command forwarding to the reactive layer rides the memory rate
         if self.current_action is not None:
             self._publish(PayloadKind.HIGH_LEVEL_COMMAND,
                           {"goal": f"execute {self.current_action}"},
                           "Planner_1", Importance.MEDIUM, tick)
         verdict = state_review(
-            self.symbol_embedder.embed(self.tracked_symbol), observed_vec,
+            self.symbol_embedder.embed(self.tracked_symbol),
+            self.symbol_embedder.embed(obs.symbol),
             bus=self.bus, allocator=self.allocator, tick=tick)
         if verdict.decision is ReviewDecision.REPLAN:
             self.replan_requested = True

@@ -4,15 +4,13 @@ Forward filtering over N hidden task phases with action-conditioned
 transitions, posterior-mean state prediction, and Baum-Welch re-estimation
 from logged (action, observation) episodes. The initial hidden-state prior is
 fixed uniform; re-estimation touches transition and emission rows only.
-An optional per-(state, observation) log-weight hook folds external reward
-signals into the emission likelihood; it defaults to zero.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -89,8 +87,7 @@ def random_params(n_states: int, n_observations: int, actions: Sequence[str],
 
 
 def forward_filter(belief: BeliefState, action: str, observation: int,
-                   params: DbnParams,
-                   obs_log_weight: Optional[Callable] = None) -> BeliefState:
+                   params: DbnParams) -> BeliefState:
     """One step of the forward recursion: b' ~ emission .* (T_a' @ b).
 
     A zero-likelihood observation (impossible under the model) resets the
@@ -101,11 +98,7 @@ def forward_filter(belief: BeliefState, action: str, observation: int,
         raise DimensionMismatch(
             f"belief has {b.shape[0]} states, params {params.n_states}")
     prior = params.transition[action].T @ b
-    likelihood = params.emission[:, observation].copy()
-    if obs_log_weight is not None:
-        likelihood = likelihood * np.exp(
-            [obs_log_weight(i, observation) for i in range(params.n_states)])
-    posterior = likelihood * prior
+    posterior = params.emission[:, observation] * prior
     total = posterior.sum()
     if total <= 0.0:
         log.warning("zero-likelihood observation %r after action %r; belief reset",

@@ -13,11 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Optional, Sequence
 
-from .episode import MODES, EpisodeConfig, Outcome, TrialResult, run_trial
+from .episode import EpisodeConfig, Outcome, TrialResult, run_trial
 from .errors import ConfigError, EmptyInput, IoError, SchemaViolation
 from .simenv import TASK_IDS
 
@@ -51,8 +52,6 @@ class BenchConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         bad = [t for t in self.tasks if t not in TASK_IDS]
         if bad:
             raise ConfigError(f"unknown task ids {bad}")
@@ -61,13 +60,7 @@ class BenchConfig:
         if self.backend not in ("scripted", "remote"):
             raise ConfigError(f"backend must be scripted or remote, "
                               f"got {self.backend!r}")
-        if self.memory_period < 1 or self.deliberative_period < 1:
-            raise ConfigError("memory_period and deliberative_period must "
-                              "be >= 1")
-        if self.seconds_per_tick is not None and \
-                not 0.0 <= self.seconds_per_tick < math.inf:
-            raise ConfigError(f"seconds_per_tick must be finite and >= 0, "
-                              f"got {self.seconds_per_tick}")
+        self.episode_config()  # raises ConfigError on a bad episode setting
 
     def digest(self) -> str:
         doc = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -134,13 +127,13 @@ class EvalBatch:
             raise SchemaViolation(f"batch: missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise SchemaViolation(f"batch: {exc}") from None
+        if not isinstance(batch.seeds, list) or not batch.seeds:
+            raise SchemaViolation("batch: seeds must be a non-empty list")
         return batch
 
 
 def _make_backend(config: BenchConfig):
     if config.backend == "remote":
-        import os
-
         from .backends import RemoteBackend
         return RemoteBackend.from_env(os.environ)
     from .backends import ScriptedBackend
@@ -151,6 +144,11 @@ def run_bench(config: BenchConfig) -> EvalBatch:
     """Execute the configured trial grid; deterministic given the seeds."""
     from .simenv import load_scenario
 
+    if config.out_dir:
+        try:
+            os.makedirs(config.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot create {config.out_dir}: {exc}") from None
     backend = _make_backend(config)
     episode_config = config.episode_config()
     seeds = [config.base_seed + i
@@ -175,10 +173,8 @@ def run_bench(config: BenchConfig) -> EvalBatch:
         batch.rows.append(TaskRow(task_id, category, percentages, avg, std,
                                   outcomes))
     if config.out_dir:
-        import os
         path = os.path.join(config.out_dir, "batch.json")
         try:
-            os.makedirs(config.out_dir, exist_ok=True)
             with open(path, "w", encoding="utf-8") as sink:
                 json.dump(batch.to_doc(), sink, indent=2, sort_keys=True)
         except OSError as exc:

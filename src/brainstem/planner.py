@@ -22,6 +22,7 @@ MAX_TREE_DEPTH = 5
 DISCOUNT = 0.9
 DEFAULT_SCORE_WEIGHTS = (0.5, 0.2, 0.2, 0.1)  # goal, transition, safety, resource
 NOOP_ACTION = "noop"
+STEP_COST = 0.1  # resource cost of each tree layer below the root
 
 _PROB_TOL = 1e-9
 
@@ -239,7 +240,6 @@ class TransitionModel:
     goal_states: frozenset
     proximity: Mapping[str, float] = field(default_factory=dict)
     unsafe_states: frozenset = frozenset()
-    step_cost: float = 0.1
 
     def is_goal(self, state: str) -> bool:
         return state in self.goal_states
@@ -296,7 +296,7 @@ def generate_state_tree(task_desc: str, current_state: str,
             score=score_state(
                 state, None,
                 safety_flags=("unsafe",) if state in model.unsafe_states else (),
-                resource_cost=(layer - 1) * model.step_cost,
+                resource_cost=(layer - 1) * STEP_COST,
                 goal_proximity=model.proximity_of(state),
                 transition_possibility=inbound_prob,
             ),

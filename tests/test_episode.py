@@ -1,10 +1,10 @@
 import json
+import math
 
 import pytest
 
 from brainstem.backends import ScriptedBackend
-from brainstem.episode import (EpisodeConfig, EpisodeRuntime, Outcome, build_dbn,
-                               run_trial)
+from brainstem.episode import EpisodeConfig, EpisodeRuntime, Outcome, run_trial
 from brainstem.errors import ConfigError, SchemaViolation
 from brainstem.protocol import PayloadKind, decode_envelope, serialize_envelope
 from brainstem.simenv import load_scenario
@@ -81,10 +81,20 @@ def test_high_difficulty_mission_collaborates():
     assert runtime.collaborations >= 1
 
 
-def test_unknown_mode_rejected():
-    # a misspelt mode must not quietly run the full collective
+@pytest.mark.parametrize("setting, value", [
+    ("mode", "reactive-only"),
+    ("memory_period", 0),
+    ("deliberative_period", 0),
+    ("seconds_per_tick", -0.001),
+    ("seconds_per_tick", math.inf),
+    ("seconds_per_tick", math.nan),
+], ids=["mode", "memory_period", "deliberative_period", "negative_spt",
+        "infinite_spt", "nan_spt"])
+def test_unknown_mode_rejected(setting, value):
+    # a misspelt mode must not quietly run the full collective, and a bad
+    # period or tick length is refused before a trial plans or sleeps
     with pytest.raises(ConfigError):
-        EpisodeConfig(mode="reactive-only")
+        EpisodeConfig(**{setting: value})
 
 
 def test_bus_audit_contains_decodable_envelopes():
@@ -100,16 +110,6 @@ def test_bus_audit_contains_decodable_envelopes():
         kinds.add(decoded.payload.kind)
     assert PayloadKind.SUBTASK_ASSIGN in kinds
     assert PayloadKind.ACTION_FEEDBACK in kinds
-
-
-def test_build_dbn_rows_stochastic():
-    import numpy as np
-    scenario, _ = load_scenario(8, 0)
-    params, index, states = build_dbn(scenario)
-    assert "apple_missing" in index
-    for action, matrix in params.transition.items():
-        assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
-    assert params.emission.shape == (len(states), len(states))
 
 
 def test_trace_written_when_requested(tmp_path):

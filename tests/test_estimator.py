@@ -178,16 +178,3 @@ def test_loglik_helper_matches_em_trace():
     result = em_reestimate(episodes, params, iters=2)
     assert result.log_likelihoods[0] == pytest.approx(
         sequence_log_likelihood(episodes, params))
-
-
-def test_observation_log_weight_hook_shifts_belief():
-    rng = np.random.default_rng(41)
-    params = random_params(3, 2, ["a"], rng)
-    belief = BeliefState.uniform(3)
-    plain = forward_filter(belief, "a", 0, params)
-    boosted = forward_filter(belief, "a", 0, params,
-                             obs_log_weight=lambda i, obs: 2.0 if i == 0 else 0.0)
-    assert boosted.distribution[0] > plain.distribution[0]
-    neutral = forward_filter(belief, "a", 0, params,
-                             obs_log_weight=lambda i, obs: 0.0)
-    assert np.allclose(neutral.distribution, plain.distribution, atol=1e-15)

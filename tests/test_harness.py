@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from brainstem import harness
 from brainstem.cli import main
+from brainstem.episode import Outcome, TrialResult
 from brainstem.errors import ConfigError, EmptyInput
 from brainstem.harness import (BenchConfig, EvalBatch, aggregate, emit_report,
                                load_reference_tables, reference_aggregates,
@@ -176,15 +178,41 @@ def test_cli_json_report_loads_back_as_the_same_trials(tmp_path, capsys):
     ["aggregate", "--input", "{tmp}/missing.json"],
     ["run", "--task", "3", "--trials", "1", "--evals", "1",
      "--out", "{tmp}/regular_file/out"],
+    ["aggregate", "--input", "{tmp}/list.json"],
+    ["aggregate", "--input", "{tmp}/strings.json"],
+    ["report", "--input", "{tmp}/no_seeds.json"],
 ], ids=["ratios", "task", "seconds_per_tick", "report_missing",
         "report_no_mode", "report_not_json", "aggregate_missing",
-        "out_under_file"])
+        "out_under_file", "aggregate_list", "aggregate_strings",
+        "report_no_seeds"])
 def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "no_mode.json").write_text(json.dumps(
         {"config_digest": "x", "seeds": [], "rows": [], "trials": []}))
+    (tmp_path / "no_seeds.json").write_text(json.dumps(
+        {"config_digest": "x", "mode": "full", "seeds": [], "rows": [],
+         "trials": []}))
+    (tmp_path / "list.json").write_text(json.dumps([1, 2]))
+    (tmp_path / "strings.json").write_text(json.dumps({"row": ["a"]}))
     (tmp_path / "not_json.txt").write_text("mode: full\n")
     (tmp_path / "regular_file").write_text("")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) != 0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_unwritable_out_runs_no_trial(tmp_path, monkeypatch, capsys):
+    # the output directory is made before the batch, so a bad --out costs
+    # no computed trials
+    calls = []
+
+    def run_trial(task_id, seed, *args):
+        calls.append((task_id, seed))
+        return TrialResult(task_id, seed, Outcome.FAILURE, 0)
+
+    monkeypatch.setattr(harness, "run_trial", run_trial)
+    (tmp_path / "regular_file").write_text("")
+    assert main(["run", "--task", "3", "--trials", "1", "--evals", "1",
+                 "--out", str(tmp_path / "regular_file" / "out")]) == 1
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: cannot create")
