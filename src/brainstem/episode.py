@@ -3,25 +3,26 @@
 One episode runs a benchmark scenario through the registry, bus, role-playing
 agents, tree-search action selection, state review, and the per-tick reactive
 controller, all on the virtual-clock scheduler. Two agent configurations exist
-(see ``MODES``): the full collective and a reactive-only ablation (fixed
-action script, no planning, no correction).
+(see ``MODES``): the full collective and a reactive-only ablation (a slowed
+fixed action script, and only the reactive loop).
 
 The tree-search selector over the scenario's declared transition model picks
 every action the full collective takes, and aborts at a dead end. With the
-world's scheduled events and stochastic action results, that decides a
-trial's outcome. The leader plan, worker collaboration, and the replans that
-state review (memory rate) and the inspector (deliberative rate) request on
-symbol drift all run, but change no cell of the seeded grid: the only drift
-comes from a scheduled event (task 8's deletion), after which the symbol is
-the dead end ``apple_missing`` and the selector aborts. The reactive
-controller still runs on every tick, with zero latent and error inputs,
-although no decision reads its output. It is about nine tenths of an
-episode's time, and it stays until ``perfbench``'s traced runs are bounded
-for a program that much faster. The Bayes filter, the HTN DAG, the latent
-relay, the episodic memory with its broadcast, and multimodal fusion are
-library units (``estimator.forward_filter``, ``planner.build_htn_dag``,
+world's scheduled events and stochastic action results, that decides a trial's
+outcome. The leader plan, worker collaboration, and the replans that state
+review (memory rate, the one drift check) requests on symbol drift all run,
+but change no cell of the seeded grid: the only drift comes from a scheduled
+event (task 8's deletion), after which the symbol is the dead end
+``apple_missing`` and the selector aborts. The reactive controller still runs
+on every tick, with zero latent and error inputs, although no decision reads
+its output. It is about nine tenths of an episode's time, and it stays until
+``perfbench``'s traced runs are bounded for a program that much faster. The
+Bayes filter, the HTN DAG, the latent relay, the episodic memory with its
+broadcast, multimodal fusion and the inspector's drift check are library units
+(``estimator.forward_filter``, ``planner.build_htn_dag``,
 ``pipeline.relay_update``, ``memory.memory_update``,
-``agents.fuse_observations``) that the episode does not call.
+``agents.fuse_observations``, ``agents.inspect_alignment``) that the episode
+does not call.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .agents import (EMBED_DIM, HashEmbedder, InspectionVerdict,
-                     inspect_alignment, plan_mission, provider_execute,
+from .agents import (EMBED_DIM, HashEmbedder, plan_mission, provider_execute,
                      worker_reflect)
 from .backends import ScriptedBackend
 from .bus import MessageBus
@@ -47,7 +47,7 @@ from .protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
 from .reactive import ReactiveController, ReactiveGains
 from .registry import AgentDescriptor, AgentRegistry, Role
 from .simenv import (REACTIVE_SLOWDOWN, ScenarioSpec, WorldState,
-                     advance_clock, check_success, observe, resolve_action,
+                     advance_clock, check_success, resolve_action,
                      sample_duration)
 
 MODES = ("full", "reactive_only")
@@ -132,15 +132,12 @@ class EpisodeRuntime:
 
         # the policy ignores the latent l_t and no estimator feeds the error
         # term, so the controller gets zeros for both
-        self.latent = np.zeros(EMBED_DIM)
-        self.error = np.zeros(EMBED_DIM)
+        self.latent = self.error = np.zeros(EMBED_DIM)
         self.controller = ReactiveController(
             EMBED_DIM, ReactiveGains(zeta=0.5, sigma=0.3, kp=0.6, kd=0.1),
             policy=lambda s, a, l: 0.2 * a)
 
         self.plan = None
-        self.tracked_symbol = scenario.symbol_of(world)
-
         self.current_action: Optional[str] = None
         self.action_done_at = 0
         self.excluded: set = set()
@@ -153,7 +150,16 @@ class EpisodeRuntime:
         self.script_index = 0
 
         self._cached_action_vec = np.zeros(EMBED_DIM)
-        self._cached_state_vec = self.symbol_embedder.embed(self.tracked_symbol)
+        # the embedding of the world's current symbol, and of the symbol
+        # state review compares it against (the last plan's or success's)
+        self.state_vec = self.symbol_embedder.embed(scenario.symbol_of(world))
+        self.tracked_vec = self.state_vec
+
+        # reactive_only: a slowed fixed script, no memory or deliberative loop
+        self.reactive_only = self.config.mode == "reactive_only"
+        self.slowdown = REACTIVE_SLOWDOWN if self.reactive_only else 1.0
+        self._next_action = (self._scripted_next if self.reactive_only
+                             else self._select_next_action)
 
     # -- planning ------------------------------------------------------------
 
@@ -167,32 +173,25 @@ class EpisodeRuntime:
             self.done = Outcome.HANDLED_ABORT
             self.detail = "no viable plan after world change"
             return
-        obs = observe(self.scenario, self.world)
-        _, verdict = inspect_alignment(
-            self.symbol_embedder.embed(self.tracked_symbol),
-            self.symbol_embedder.embed(obs.symbol))
-        if verdict is InspectionVerdict.REPLAN:
-            self.replan_requested = True
-
         if self.plan is None or self.replan_requested:
             self._make_plan(tick)
             self.replan_requested = False
-        self.tracked_symbol = obs.symbol
 
     def _make_plan(self, tick: int) -> None:
         self.replans += 1
         self.plan = plan_mission(self.scenario.mission, self.backend)
-        self.registry.validate_assignment(self.plan.to_doc())
-        self._publish(PayloadKind.SUBTASK_ASSIGN, self.plan.to_doc(),
+        plan_doc = self.plan.to_doc()
+        self.registry.validate_assignment(plan_doc)
+        self._publish(PayloadKind.SUBTASK_ASSIGN, plan_doc,
                       "Leader_1", Importance.MEDIUM, tick)
         if self.plan.difficulty == "high":
             self._collaborate(tick)
         self.excluded = set()
+        self.tracked_vec = self.state_vec
 
     def _collaborate(self, tick: int) -> None:
-        colleagues = {w: list(e) for w, e in WORKER_EXPERTISE.items()}
         for subtask in self.plan.subtasks:
-            decision = worker_reflect(subtask, colleagues, self.backend)
+            decision = worker_reflect(subtask, WORKER_EXPERTISE, self.backend)
             if not decision.collaboration_required:
                 continue
             for request in decision.requirement:
@@ -212,31 +211,27 @@ class EpisodeRuntime:
 
     def _select_next_action(self) -> None:
         symbol = self.scenario.symbol_of(self.world)
-        available = [a for a in self.scenario.action_vocab]
         transitions = self.scenario.model.transitions.get(symbol, ())
         if not transitions:
             # dead end that is not a goal: ask the deliberative loop to abort
             self.pending_abort = True
             return
-        usable = [t for t in transitions if t[0] not in self.excluded]
-        if not usable:
+        if all(t[0] in self.excluded for t in transitions):
             self.excluded = set()  # exhausted every alternative: start over
         try:
             tree = generate_state_tree(
-                self.scenario.mission, symbol, available,
+                self.scenario.mission, symbol, self.scenario.action_vocab,
                 model=self.scenario.model, max_depth=TREE_DEPTH,
                 exclude_actions=self.excluded)
-            choice = select_action(tree, available)
+            choice = select_action(tree, self.scenario.action_vocab)
         except EmptyActionSet:
             self.pending_abort = True
             return
         self._begin(choice.selected_action)
 
     def _begin(self, action: str) -> None:
-        rule = self.scenario.rules[action]
-        slowdown = (REACTIVE_SLOWDOWN
-                    if self.config.mode == "reactive_only" else 1.0)
-        duration = sample_duration(rule, self.rng, slowdown)
+        duration = sample_duration(self.scenario.rules[action], self.rng,
+                                   self.slowdown)
         self.current_action = action
         self.action_done_at = self.world.tick + duration
         self._cached_action_vec = self.action_embedder.embed(action)
@@ -247,15 +242,14 @@ class EpisodeRuntime:
         self.current_action = None
         self._publish(PayloadKind.ACTION_FEEDBACK, feedback, "Worker_3",
                       Importance.MEDIUM, tick)
+        # each mode reads only its own: the script index or the excluded set
         if feedback["success"]:
-            self._cached_state_vec = self.symbol_embedder.embed(
+            self.state_vec = self.symbol_embedder.embed(
                 self.scenario.symbol_of(self.world))
-            self.tracked_symbol = self.scenario.symbol_of(self.world)
-            if self.config.mode == "reactive_only":
-                self.script_index += 1  # fixed script: advance only on success
-            else:
-                self.excluded.clear()  # progress: failed actions back in play
-        elif self.config.mode != "reactive_only":
+            self.tracked_vec = self.state_vec
+            self.script_index += 1  # fixed script: advance only on success
+            self.excluded.clear()  # progress: failed actions back in play
+        else:
             self.excluded.add(action)
         if check_success(self.world, self.scenario.goal):
             self.done = Outcome.SUCCESS
@@ -267,18 +261,15 @@ class EpisodeRuntime:
             return
         fired = advance_clock(self.scenario, self.world, tick)
         if fired:
-            self._cached_state_vec = self.symbol_embedder.embed(
+            self.state_vec = self.symbol_embedder.embed(
                 self.scenario.symbol_of(self.world))
         if self.current_action is not None and tick >= self.action_done_at:
             self._finish_action(tick)
         if self.done is not None:
             return
         if self.current_action is None and not self.pending_abort:
-            if self.config.mode == "reactive_only":
-                self._scripted_next()
-            else:
-                self._select_next_action()
-        self.controller.step(self._cached_state_vec, self._cached_action_vec,
+            self._next_action()
+        self.controller.step(self.state_vec, self._cached_action_vec,
                              self.latent, self.error)
 
     def _scripted_next(self) -> None:
@@ -289,36 +280,30 @@ class EpisodeRuntime:
         self._begin(action)
 
     def _memory_step(self, tick: int) -> None:
-        if self.done is not None or self.config.mode == "reactive_only":
+        if self.done is not None:
             return
-        obs = observe(self.scenario, self.world)
         # command forwarding to the reactive layer rides the memory rate
         if self.current_action is not None:
             self._publish(PayloadKind.HIGH_LEVEL_COMMAND,
                           {"goal": f"execute {self.current_action}"},
                           "Planner_1", Importance.MEDIUM, tick)
-        verdict = state_review(
-            self.symbol_embedder.embed(self.tracked_symbol),
-            self.symbol_embedder.embed(obs.symbol),
-            bus=self.bus, allocator=self.allocator, tick=tick)
+        verdict = state_review(self.tracked_vec, self.state_vec,
+                               bus=self.bus, allocator=self.allocator,
+                               tick=tick)
         if verdict.decision is ReviewDecision.REPLAN:
             self.replan_requested = True
-
-    def _deliberative(self, tick: int) -> None:
-        if self.config.mode == "reactive_only":
-            return
-        self._deliberate(tick)
 
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> TrialResult:
-        if self.config.mode != "reactive_only":
+        slow_loops = not self.reactive_only
+        if slow_loops:
             self._deliberate(0)
         trace = run_scheduler(
             self.config.rates(), self.scenario.timeout_ticks,
             on_reactive=self._reactive,
-            on_memory=self._memory_step,
-            on_deliberative=self._deliberative,
+            on_memory=self._memory_step if slow_loops else None,
+            on_deliberative=self._deliberate if slow_loops else None,
             trace_reactive=False,
             stop=lambda tick: self.done is not None,
             seconds_per_tick=self.config.seconds_per_tick)

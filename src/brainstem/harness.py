@@ -83,6 +83,19 @@ class TaskRow:
     outcomes: dict
 
 
+def _finite(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _row_ok(row: TaskRow) -> bool:
+    return (type(row.task_id) is int and isinstance(row.category, str)
+            and isinstance(row.eval_percentages, list)
+            and all(map(_finite, [*row.eval_percentages, row.avg, row.std]))
+            and isinstance(row.outcomes, dict)
+            and all(isinstance(k, str) and type(n) is int
+                    for k, n in row.outcomes.items()))
+
+
 @dataclass
 class EvalBatch:
     config_digest: str
@@ -129,6 +142,12 @@ class EvalBatch:
             raise SchemaViolation(f"batch: {exc}") from None
         if not isinstance(batch.seeds, list) or not batch.seeds:
             raise SchemaViolation("batch: seeds must be a non-empty list")
+        if not all(map(_row_ok, batch.rows)) or any(
+                type(t.ticks_elapsed) is not int for t in batch.trials):
+            raise SchemaViolation(
+                "batch: rows need an int task_id, a string category, finite "
+                "eval_percentages, avg and std, and int outcome counts; "
+                "trials need an int ticks_elapsed")
         return batch
 
 

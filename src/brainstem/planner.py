@@ -309,17 +309,16 @@ def generate_state_tree(task_desc: str, current_state: str,
         if not outcomes:
             return node
         # joint branch probability under a uniform prior over candidate actions,
-        # so siblings across actions still sum to 1
+        # renormalized so that siblings sum to 1 as validate_state_tree's are
         n_actions = len({a for a, _, _ in outcomes})
+        total = sum(prob / n_actions for _, prob, _ in outcomes)
         for action, prob, nxt in outcomes:
-            branch_p = prob / n_actions
             node.transitions.append(
-                Transition(action, branch_p, expand(nxt, layer + 1, prob)))
+                Transition(action, prob / n_actions / total,
+                           expand(nxt, layer + 1, prob)))
         return node
 
-    root = expand(current_state, 1, 1.0)
-    tree_doc = {"next_state": root.to_doc()}
-    return validate_state_tree(tree_doc, available_actions)
+    return StateTree(expand(current_state, 1, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,6 @@ class AgentRegistry:
     def is_registered(self, agent_id: str) -> bool:
         return agent_id in self._agents
 
-    def is_active(self, agent_id: str) -> bool:
-        agent = self._agents.get(agent_id)
-        return agent is not None and agent.status is AgentStatus.ACTIVE
-
     def get(self, agent_id: str) -> AgentDescriptor:
         return self._agents[agent_id]
 

@@ -181,3 +181,11 @@ def quick_envelope(agent_id: str, importance: Importance,
     header = MessageHeader(tick_to_timestamp(tick), agent_id, importance)
     return make_envelope(header, Payload(PayloadKind.INTERMEDIATE_TEXT,
                                          {"text": text}), allocator)
+
+
+def model_states(model) -> list:
+    """Every state a declared transition model names, sorted."""
+    states = set(model.transitions)
+    for outcomes in model.transitions.values():
+        states.update(nxt for _, _, nxt in outcomes)
+    return sorted(states)

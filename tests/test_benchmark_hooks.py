@@ -38,3 +38,14 @@ def test_traced_trial_flushes_runtime_bus_and_registry():
     assert tracer.trials == [(3, 0)]
     assert tracer.total_calls("harness.run_trial") == 1
     assert tracer.audit_len_end > 0
+
+
+def test_reactive_only_trial_runs_only_the_reactive_loop():
+    spans = load_spans()
+    tracer = spans.Tracer()
+    with spans.patched(*tracer.instrumentation()):
+        harness.run_trial(3, 0, EpisodeConfig(mode="reactive_only"))
+    assert tracer.total_calls("harness.run_trial") == 1
+    assert tracer.total_calls("pipeline.reactive_hook") > 0
+    assert tracer.total_calls("pipeline.memory_hook") == 0
+    assert tracer.total_calls("pipeline.deliberative_hook") == 0

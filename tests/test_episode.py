@@ -3,11 +3,14 @@ import math
 
 import pytest
 
+from brainstem.agents import InspectionVerdict, inspect_alignment
 from brainstem.backends import ScriptedBackend
 from brainstem.episode import EpisodeConfig, EpisodeRuntime, Outcome, run_trial
 from brainstem.errors import ConfigError, SchemaViolation
+from brainstem.pipeline import ReviewDecision, state_review
 from brainstem.protocol import PayloadKind, decode_envelope, serialize_envelope
-from brainstem.simenv import load_scenario
+from brainstem.simenv import TASK_IDS, load_scenario
+from support import model_states
 
 
 def test_full_mode_solves_physical_task():
@@ -135,10 +138,29 @@ def test_replan_verdict_never_met_with_silence():
     runtime._deliberate(0)
     plans_before = runtime.replans
     runtime.replan_requested = True
-    runtime._deliberative(1000)
+    runtime._deliberate(1000)
     # a pending replan is answered with a fresh plan within one round
     assert runtime.replans == plans_before + 1
     assert runtime.plan is not None
     runtime.pending_abort = True
-    runtime._deliberative(2000)
+    runtime._deliberate(2000)
     assert runtime.done is Outcome.HANDLED_ABORT  # or an explicit abort
+
+
+def test_state_review_alone_catches_every_symbol_change():
+    # the episode's one replan check is state review; the inspector's
+    # max-abs check must never see a change between two model states that
+    # state review misses, or it would have to come back
+    for task_id in TASK_IDS:
+        scenario, world = load_scenario(task_id, 0)
+        embedder = EpisodeRuntime(scenario, world).symbol_embedder
+        states = model_states(scenario.model)
+        for before in states:
+            for after in states:
+                if before == after:
+                    continue
+                expected, observed = embedder.embed(before), embedder.embed(after)
+                assert state_review(expected, observed).decision \
+                    is ReviewDecision.REPLAN
+                assert inspect_alignment(expected, observed)[1] \
+                    is InspectionVerdict.REPLAN

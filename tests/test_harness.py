@@ -1,11 +1,12 @@
 import json
+import math
 
 import pytest
 
 from brainstem import harness
 from brainstem.cli import main
 from brainstem.episode import Outcome, TrialResult
-from brainstem.errors import ConfigError, EmptyInput
+from brainstem.errors import ConfigError, EmptyInput, SchemaViolation
 from brainstem.harness import (BenchConfig, EvalBatch, aggregate, emit_report,
                                load_reference_tables, reference_aggregates,
                                run_bench)
@@ -101,6 +102,25 @@ def test_batch_round_trips_through_json(tmp_path):
     assert restored.to_doc() == batch.to_doc()
 
 
+@pytest.mark.parametrize("where, field, value", [
+    ("row", "task_id", "3"), ("row", "category", 3),
+    ("row", "eval_percentages", [100.0, math.inf]), ("row", "std", None),
+    ("row", "avg", True), ("row", "outcomes", {"Success": "1"}),
+    ("trial", "ticks_elapsed", 12.5),
+])
+def test_batch_with_mistyped_field_rejected(where, field, value):
+    row = {"task_id": 3, "category": "semantic", "eval_percentages": [100.0],
+           "avg": 100.0, "std": 0.0, "outcomes": {"Success": 1}}
+    trial = {"task_id": 3, "seed": 0, "outcome": "Success",
+             "ticks_elapsed": 12, "detail": ""}
+    doc = {"config_digest": "x", "mode": "full", "seeds": [0],
+           "rows": [row], "trials": [trial]}
+    EvalBatch.from_doc(doc)
+    {"row": row, "trial": trial}[where][field] = value
+    with pytest.raises(SchemaViolation):
+        EvalBatch.from_doc(doc)
+
+
 # -- reports -------------------------------------------------------------------
 
 def test_all_100_formats_as_100_pm_0():
@@ -181,10 +201,14 @@ def test_cli_json_report_loads_back_as_the_same_trials(tmp_path, capsys):
     ["aggregate", "--input", "{tmp}/list.json"],
     ["aggregate", "--input", "{tmp}/strings.json"],
     ["report", "--input", "{tmp}/no_seeds.json"],
+    ["report", "--input", "{tmp}/avg_string.json"],
+    ["report", "--input", "{tmp}/evals_string.json", "--format", "csv"],
+    ["report", "--input", "{tmp}/avg_nan.json"],
 ], ids=["ratios", "task", "seconds_per_tick", "report_missing",
         "report_no_mode", "report_not_json", "aggregate_missing",
         "out_under_file", "aggregate_list", "aggregate_strings",
-        "report_no_seeds"])
+        "report_no_seeds", "report_avg_string", "report_evals_string",
+        "report_avg_nan"])
 def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "no_mode.json").write_text(json.dumps(
         {"config_digest": "x", "seeds": [], "rows": [], "trials": []}))
@@ -195,6 +219,15 @@ def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "strings.json").write_text(json.dumps({"row": ["a"]}))
     (tmp_path / "not_json.txt").write_text("mode: full\n")
     (tmp_path / "regular_file").write_text("")
+    for name, field, value in [("avg_string", "avg", "a"),
+                               ("evals_string", "eval_percentages", "x"),
+                               ("avg_nan", "avg", math.nan)]:
+        row = {"task_id": 3, "category": "semantic",
+               "eval_percentages": [100.0], "avg": 100.0, "std": 0.0,
+               "outcomes": {"Success": 1}, field: value}
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"config_digest": "x", "mode": "full", "seeds": [0],
+             "rows": [row], "trials": []}))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) != 0
     err = capsys.readouterr().err

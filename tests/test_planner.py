@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import strategies as st
 
 from brainstem.errors import (CycleDetected, EmptyActionSet, SchemaViolation,
                               UnknownAction)
-from brainstem.planner import (NOOP_ACTION, StateTree, TransitionModel,
-                               build_htn_dag, generate_state_tree, hop_proximity,
-                               score_state, select_action, subtree_value,
+from brainstem.planner import (MAX_TREE_DEPTH, NOOP_ACTION, StateTree,
+                               TransitionModel, build_htn_dag,
+                               generate_state_tree, hop_proximity, score_state,
+                               select_action, subtree_value,
                                validate_state_tree)
-from support import random_tree_doc, tree_action_values_oracle
+from brainstem.simenv import TASK_IDS, load_scenario
+from support import model_states, random_tree_doc, tree_action_values_oracle
 
 
 def subtask(sid, worker, desc, action=None, depends_on=None):
@@ -291,6 +294,19 @@ def test_generated_tree_validates_and_prunes():
     assert [t.next_state.state for t in tree.root.transitions] == ["ok"]
 
 
+def test_pruned_siblings_renormalized_as_the_validator_does():
+    transitions = {"start": [("advance", 0.6, "ok"), ("advance", 0.3, "danger"),
+                             ("advance", 0.1, "ok")]}
+    model = TransitionModel(transitions=transitions,
+                            goal_states=frozenset({"ok"}),
+                            unsafe_states=frozenset({"danger"}))
+    tree = generate_state_tree("toy", "start", ["advance"], model=model)
+    assert [t.probability for t in tree.root.transitions] == [0.6 / 0.7,
+                                                              0.1 / 0.7]
+    doc = tree.to_doc()
+    assert validate_state_tree(doc, ["advance"]).to_doc() == doc
+
+
 def test_goal_root_yields_single_node():
     model = toy_model()
     tree = generate_state_tree("toy", "goal", ["advance"], model=model)
@@ -312,6 +328,27 @@ def test_depth_six_backend_output_rejected():
 def test_empty_action_set_rejected():
     with pytest.raises(EmptyActionSet):
         generate_state_tree("toy", "start", [], model=toy_model())
+
+
+def test_generator_agrees_with_validator_on_every_scenario():
+    # the generator no longer re-validates its own trees, so every tree it can
+    # build for a shipped scenario must pass validate_state_tree unchanged
+    cases = 0
+    for task_id in TASK_IDS:
+        scenario, _ = load_scenario(task_id, 0)
+        vocab = scenario.action_vocab
+        for state in model_states(scenario.model):
+            for k in range(len(vocab)):
+                for excluded in itertools.combinations(vocab, k):
+                    for depth in range(1, MAX_TREE_DEPTH + 1):
+                        tree = generate_state_tree(
+                            scenario.mission, state, vocab,
+                            model=scenario.model, max_depth=depth,
+                            exclude_actions=excluded)
+                        doc = tree.to_doc()
+                        assert validate_state_tree(doc, vocab).to_doc() == doc
+                        cases += 1
+    assert cases == 2135
 
 
 # -- DAG compilation ---------------------------------------------------------------
