@@ -9,6 +9,7 @@ rendered prompt to a completion endpoint with bounded retries.
 from __future__ import annotations
 
 import json
+import math
 import time
 import urllib.error
 import urllib.request
@@ -197,11 +198,20 @@ class RemoteBackend:
         url = environ.get("BRAINSTEM_BACKEND_URL")
         if not url:
             raise BackendError("BRAINSTEM_BACKEND_URL is not set")
+        text = environ.get("BRAINSTEM_BACKEND_TIMEOUT", "10")
+        try:
+            timeout = float(text)
+            if not 0.0 < timeout < math.inf:
+                raise ValueError(text)
+        except ValueError:
+            raise BackendError(
+                f"BRAINSTEM_BACKEND_TIMEOUT must be a finite number of "
+                f"seconds > 0, got {text!r}") from None
         return cls(
             url=url,
             token=environ.get("BRAINSTEM_BACKEND_TOKEN"),
             model=environ.get("BRAINSTEM_BACKEND_MODEL"),
-            timeout=float(environ.get("BRAINSTEM_BACKEND_TIMEOUT", "10")),
+            timeout=timeout,
         )
 
     def complete(self, role: str, key) -> str:

@@ -9,7 +9,7 @@ import sys
 from .episode import MODES
 from .errors import BrainstemError, ConfigError, IoError, SchemaViolation
 from .harness import (BenchConfig, EvalBatch, aggregate, emit_report,
-                      reference_aggregates, run_bench)
+                      is_finite_number, reference_aggregates, run_bench)
 from .simenv import TASK_IDS
 
 
@@ -31,10 +31,6 @@ def _read_json(path: str):
         raise IoError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
         raise SchemaViolation(f"{path}: malformed JSON ({exc})") from None
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _parse_ratios(text: str) -> tuple:
@@ -114,10 +110,10 @@ def _cmd_aggregate(args) -> int:
         return 0
     doc = _read_json(args.input)
     if not isinstance(doc, dict) or not all(
-            isinstance(values, list) and all(_is_number(v) for v in values)
+            isinstance(values, list) and all(map(is_finite_number, values))
             for values in doc.values()):
         raise SchemaViolation(f"{args.input}: expected an object of "
-                              "name -> list of numbers")
+                              "name -> list of finite numbers")
     for name, values in doc.items():
         avg, std = aggregate(values)
         sys.stdout.write(f"{name}: avg={avg:g} std={std:.4g}\n")

@@ -13,14 +13,19 @@ outcome. The leader plan, worker collaboration, and the replans that state
 review (memory rate, the one drift check) requests on symbol drift all run,
 but change no cell of the seeded grid: the only drift comes from a scheduled
 event (task 8's deletion), after which the symbol is the dead end
-``apple_missing`` and the selector aborts. The reactive controller still runs
-on every tick, with zero latent and error inputs, although no decision reads
-its output. It is about nine tenths of an episode's time, and it stays until
-``perfbench``'s traced runs are bounded for a program that much faster. The
-Bayes filter, the HTN DAG, the latent relay, the episodic memory with its
-broadcast, multimodal fusion and the inspector's drift check are library units
-(``estimator.forward_filter``, ``planner.build_htn_dag``,
-``pipeline.relay_update``, ``memory.memory_update``,
+``apple_missing`` and the selector aborts. A replan request is the flag
+``replan_requested``, not a message. The bus carries one message per event:
+each plan (``SubtaskAssign``), each provider response (``AgentResponse``) and
+each finished action (``ActionFeedback``). No agent reads it; its audit log is
+the episode's record of them.
+
+The reactive controller still runs on every tick, with zero latent and error
+inputs, although no decision reads its output. It is about nine tenths of an
+episode's time, and it stays until ``perfbench``'s traced runs are bounded for
+a program that much faster. The Bayes filter, the HTN DAG, the latent relay,
+the episodic memory with its broadcast, multimodal fusion and the inspector's
+drift check are library units (``estimator.forward_filter``,
+``planner.build_htn_dag``, ``pipeline.relay_update``, ``memory.memory_update``,
 ``agents.fuse_observations``, ``agents.inspect_alignment``) that the episode
 does not call.
 """
@@ -166,30 +171,26 @@ class EpisodeRuntime:
     def _deliberate(self, tick: int) -> None:
         if self.done is not None:
             return
-        for agent in ("Leader_1", "Inspector_1", "Planner_1"):
-            while self.bus.next_message(agent) is not None:
-                pass
         if self.pending_abort:
             self.done = Outcome.HANDLED_ABORT
             self.detail = "no viable plan after world change"
             return
         if self.plan is None or self.replan_requested:
-            self._make_plan(tick)
+            self._make_plan()
             self.replan_requested = False
 
-    def _make_plan(self, tick: int) -> None:
+    def _make_plan(self) -> None:
         self.replans += 1
         self.plan = plan_mission(self.scenario.mission, self.backend)
         plan_doc = self.plan.to_doc()
         self.registry.validate_assignment(plan_doc)
-        self._publish(PayloadKind.SUBTASK_ASSIGN, plan_doc,
-                      "Leader_1", Importance.MEDIUM, tick)
+        self._publish(PayloadKind.SUBTASK_ASSIGN, plan_doc, "Leader_1")
         if self.plan.difficulty == "high":
-            self._collaborate(tick)
+            self._collaborate()
         self.excluded = set()
         self.tracked_vec = self.state_vec
 
-    def _collaborate(self, tick: int) -> None:
+    def _collaborate(self) -> None:
         for subtask in self.plan.subtasks:
             decision = worker_reflect(subtask, WORKER_EXPERTISE, self.backend)
             if not decision.collaboration_required:
@@ -199,11 +200,12 @@ class EpisodeRuntime:
                 self.collaborations += 1
                 self._publish(PayloadKind.AGENT_RESPONSE,
                               {"response": response.response},
-                              request["worker_id"], Importance.MEDIUM, tick)
+                              request["worker_id"])
 
-    def _publish(self, kind: PayloadKind, body: dict, sender: str,
-                 importance: Importance, tick: int) -> None:
-        header = MessageHeader(tick_to_timestamp(tick), sender, importance)
+    def _publish(self, kind: PayloadKind, body: dict, sender: str) -> None:
+        # one message per event; stamped with the bus's clock, the world tick
+        header = MessageHeader(tick_to_timestamp(self.world.tick), sender,
+                               Importance.MEDIUM)
         self.bus.publish(make_envelope(header, Payload(kind, body),
                                        self.allocator))
 
@@ -218,12 +220,13 @@ class EpisodeRuntime:
             return
         if all(t[0] in self.excluded for t in transitions):
             self.excluded = set()  # exhausted every alternative: start over
+        vocab = self.scenario.action_vocab
         try:
             tree = generate_state_tree(
-                self.scenario.mission, symbol, self.scenario.action_vocab,
+                self.scenario.mission, symbol, vocab,
                 model=self.scenario.model, max_depth=TREE_DEPTH,
                 exclude_actions=self.excluded)
-            choice = select_action(tree, self.scenario.action_vocab)
+            choice = select_action(tree, vocab)
         except EmptyActionSet:
             self.pending_abort = True
             return
@@ -236,12 +239,11 @@ class EpisodeRuntime:
         self.action_done_at = self.world.tick + duration
         self._cached_action_vec = self.action_embedder.embed(action)
 
-    def _finish_action(self, tick: int) -> None:
+    def _finish_action(self) -> None:
         action = self.current_action
         feedback = resolve_action(self.scenario, self.world, action, self.rng)
         self.current_action = None
-        self._publish(PayloadKind.ACTION_FEEDBACK, feedback, "Worker_3",
-                      Importance.MEDIUM, tick)
+        self._publish(PayloadKind.ACTION_FEEDBACK, feedback, "Worker_3")
         # each mode reads only its own: the script index or the excluded set
         if feedback["success"]:
             self.state_vec = self.symbol_embedder.embed(
@@ -264,7 +266,7 @@ class EpisodeRuntime:
             self.state_vec = self.symbol_embedder.embed(
                 self.scenario.symbol_of(self.world))
         if self.current_action is not None and tick >= self.action_done_at:
-            self._finish_action(tick)
+            self._finish_action()
         if self.done is not None:
             return
         if self.current_action is None and not self.pending_abort:
@@ -282,14 +284,7 @@ class EpisodeRuntime:
     def _memory_step(self, tick: int) -> None:
         if self.done is not None:
             return
-        # command forwarding to the reactive layer rides the memory rate
-        if self.current_action is not None:
-            self._publish(PayloadKind.HIGH_LEVEL_COMMAND,
-                          {"goal": f"execute {self.current_action}"},
-                          "Planner_1", Importance.MEDIUM, tick)
-        verdict = state_review(self.tracked_vec, self.state_vec,
-                               bus=self.bus, allocator=self.allocator,
-                               tick=tick)
+        verdict = state_review(self.tracked_vec, self.state_vec)
         if verdict.decision is ReviewDecision.REPLAN:
             self.replan_requested = True
 

@@ -83,14 +83,15 @@ class TaskRow:
     outcomes: dict
 
 
-def _finite(value) -> bool:
+def is_finite_number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
 def _row_ok(row: TaskRow) -> bool:
     return (type(row.task_id) is int and isinstance(row.category, str)
             and isinstance(row.eval_percentages, list)
-            and all(map(_finite, [*row.eval_percentages, row.avg, row.std]))
+            and all(map(is_finite_number,
+                        [*row.eval_percentages, row.avg, row.std]))
             and isinstance(row.outcomes, dict)
             and all(isinstance(k, str) and type(n) is int
                     for k, n in row.outcomes.items()))

@@ -18,8 +18,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, IoError
-from .protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
-                       PayloadKind, make_envelope, tick_to_timestamp)
 
 REVIEW_THRESHOLD = 0.3
 
@@ -99,15 +97,9 @@ class ReviewVerdict:
     decision: ReviewDecision
 
 
-def state_review(expected, observed, threshold: float = REVIEW_THRESHOLD,
-                 bus=None, sender: str = "Planner_1",
-                 allocator: Optional[LogIdAllocator] = None,
-                 tick: int = 0) -> ReviewVerdict:
-    """Compare expected vs observed embeddings; large drift demands a replan.
-
-    On Replan (and when a bus is wired) a HIGH-priority message is published
-    for the deliberative planner.
-    """
+def state_review(expected, observed,
+                 threshold: float = REVIEW_THRESHOLD) -> ReviewVerdict:
+    """Expected vs observed embeddings: large drift demands a replan."""
     expected = np.asarray(expected, dtype=float)
     observed = np.asarray(observed, dtype=float)
     if expected.shape != observed.shape:
@@ -116,13 +108,6 @@ def state_review(expected, observed, threshold: float = REVIEW_THRESHOLD,
     drift = float(np.linalg.norm(expected - observed))
     decision = (ReviewDecision.REPLAN if drift > threshold
                 else ReviewDecision.KEEP)
-    if decision is ReviewDecision.REPLAN and bus is not None:
-        header = MessageHeader(tick_to_timestamp(tick), sender, Importance.HIGH)
-        payload = Payload(PayloadKind.HIGH_LEVEL_COMMAND, {
-            "goal": "replan_mission",
-            "feedback": f"state drift {drift:.6f} above {threshold}",
-        })
-        bus.publish(make_envelope(header, payload, allocator or LogIdAllocator()))
     return ReviewVerdict(drift, decision)
 
 

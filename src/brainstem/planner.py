@@ -284,7 +284,8 @@ def generate_state_tree(task_desc: str, current_state: str,
     if not available_actions:
         raise EmptyActionSet(f"no actions available for {task_desc!r}")
 
-    usable = [a for a in available_actions if a not in set(exclude_actions)]
+    excluded = set(exclude_actions)
+    usable = [a for a in available_actions if a not in excluded]
     if not usable:
         raise EmptyActionSet(f"all actions excluded for {task_desc!r}")
     max_depth = min(max_depth, MAX_TREE_DEPTH)

@@ -91,7 +91,6 @@ class ScenarioSpec:
     category: str
     mission: str
     goal: dict
-    action_vocab: tuple
     rules: Mapping[str, ActionRule]
     model: TransitionModel
     symbol_of: Callable             # world -> model state label
@@ -99,6 +98,10 @@ class ScenarioSpec:
     reactive_script: tuple = ()
     timeout_ticks: int = 8000
     seed: int = 0
+
+    @property
+    def action_vocab(self) -> tuple:
+        return tuple(self.rules)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +282,7 @@ def _task_1(seed: int):
     return ScenarioSpec(
         task_id=1, category="physical", mission="grab cube from cabinet",
         goal={"type": "holding", "object": "cube_1"},
-        action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
+        rules=rules, model=model, symbol_of=symbol,
         reactive_script=("open cabinet", "grasp cube"),
         timeout_ticks=4000, seed=seed,
     ), world
@@ -333,7 +336,7 @@ def _task_2(seed: int):
     return ScenarioSpec(
         task_id=2, category="visual", mission="grab the blue cube",
         goal={"type": "holding", "object": "cube_blue"},
-        action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
+        rules=rules, model=model, symbol_of=symbol,
         reactive_script=("grasp blue cube",),
         timeout_ticks=6000, seed=seed,
     ), world
@@ -364,7 +367,7 @@ def _task_3(seed: int):
     return ScenarioSpec(
         task_id=3, category="semantic", mission="lift blue cube",
         goal={"type": "mark", "mark": "lifted"},
-        action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
+        rules=rules, model=model, symbol_of=symbol,
         reactive_script=("lift",),
         timeout_ticks=3000, seed=seed,
     ), world
@@ -408,7 +411,7 @@ def _task_4(seed: int):
     return ScenarioSpec(
         task_id=4, category="correction", mission="try and plug the right charger",
         goal={"type": "mark", "mark": "plugged"},
-        action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
+        rules=rules, model=model, symbol_of=symbol,
         reactive_script=("plug port_1",),
         timeout_ticks=6000, seed=seed,
     ), world
@@ -450,7 +453,7 @@ def _task_5(seed: int):
     return ScenarioSpec(
         task_id=5, category="ood", mission="grab the harry potter book",
         goal={"type": "holding", "object": "book_hp"},
-        action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
+        rules=rules, model=model, symbol_of=symbol,
         reactive_script=("grasp book",),  # never searches: stays blind
         timeout_ticks=8000, seed=seed,
     ), world
@@ -539,7 +542,7 @@ def _task_6(seed: int):
     return ScenarioSpec(
         task_id=6, category="multimodal", mission="find and fetch the apple",
         goal={"type": "at", "object": "apple_1", "location": "delivery_zone"},
-        action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
+        rules=rules, model=model, symbol_of=symbol,
         reactive_script=("explore room", "approach apple", "look closely",
                          "grasp apple", "deliver apple"),
         timeout_ticks=8000, seed=seed,
@@ -603,7 +606,7 @@ def _task_7(seed: int):
     spec = ScenarioSpec(
         task_id=7, category="long-horizon1", mission="fetch the apple (occlusion)",
         goal={"type": "holding", "object": "apple_1"},
-        action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
+        rules=rules, model=model, symbol_of=symbol,
         reactive_script=("approach shelf", "look from left", "grasp apple"),
         timeout_ticks=8000, seed=seed,
     )
@@ -643,7 +646,7 @@ def _task_8(seed: int):
         task_id=8, category="long-horizon2",
         mission="fetch the apple (dynamic deletion)",
         goal={"type": "holding", "object": "apple_1"},
-        action_vocab=tuple(rules), rules=rules, model=model, symbol_of=symbol,
+        rules=rules, model=model, symbol_of=symbol,
         scheduled_events=(ScheduledEvent(DELETION_TICK, "delete_object",
                                          {"object_id": "apple_1",
                                           "unless_held": True}),),

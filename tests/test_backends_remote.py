@@ -63,3 +63,11 @@ def test_remote_backend_gives_up_after_retry_budget(endpoint):
     with pytest.raises(BackendError):
         backend.complete("leader", "walk to the desk")
     _Endpoint.fail_n = 0
+
+
+@pytest.mark.parametrize("timeout", ["abc", "0", "-1", "nan", "inf"])
+def test_from_env_refuses_a_bad_timeout(timeout):
+    environ = {"BRAINSTEM_BACKEND_URL": "http://127.0.0.1:9/complete",
+               "BRAINSTEM_BACKEND_TIMEOUT": timeout}
+    with pytest.raises(BackendError, match="BRAINSTEM_BACKEND_TIMEOUT"):
+        RemoteBackend.from_env(environ)

@@ -3,12 +3,14 @@ import math
 
 import pytest
 
+from brainstem import episode
 from brainstem.agents import InspectionVerdict, inspect_alignment
 from brainstem.backends import ScriptedBackend
 from brainstem.episode import EpisodeConfig, EpisodeRuntime, Outcome, run_trial
 from brainstem.errors import ConfigError, SchemaViolation
 from brainstem.pipeline import ReviewDecision, state_review
-from brainstem.protocol import PayloadKind, decode_envelope, serialize_envelope
+from brainstem.protocol import (PayloadKind, decode_envelope,
+                                serialize_envelope, tick_to_timestamp)
 from brainstem.simenv import TASK_IDS, load_scenario
 from support import model_states
 
@@ -113,6 +115,36 @@ def test_bus_audit_contains_decodable_envelopes():
         kinds.add(decoded.payload.kind)
     assert PayloadKind.SUBTASK_ASSIGN in kinds
     assert PayloadKind.ACTION_FEEDBACK in kinds
+
+
+def test_bus_carries_one_message_per_event(monkeypatch):
+    # task 8 plans twice (the deletion's drift requests a replan) and its
+    # high-difficulty plan asks a provider for help each time
+    resolve_action, finished = episode.resolve_action, []
+
+    def resolve(*args):
+        finished.append(resolve_action(*args))
+        return finished[-1]
+
+    monkeypatch.setattr(episode, "resolve_action", resolve)
+    scenario, world = load_scenario(8, 0)
+    runtime = EpisodeRuntime(scenario, world)
+    runtime.run()
+    assert runtime.replans == 2 and runtime.collaborations == 2
+    audit = runtime.bus.audit_log()
+    assert [op for op, _, _ in audit] == ["publish"] * len(audit)
+    kinds = [envelope.payload.kind for _, _, envelope in audit]
+    assert PayloadKind.HIGH_LEVEL_COMMAND not in kinds
+    assert kinds.count(PayloadKind.SUBTASK_ASSIGN) == runtime.replans
+    assert kinds.count(PayloadKind.AGENT_RESPONSE) == runtime.collaborations
+    feedback = [envelope for _, _, envelope in audit
+                if envelope.payload.kind is PayloadKind.ACTION_FEEDBACK]
+    assert [e.payload.body for e in feedback] == finished
+    # each message is stamped at the tick its event happened
+    assert [e.header.timestamp for e in feedback] == \
+        [tick_to_timestamp(body["tick"]) for body in finished]
+    assert len(audit) == runtime.replans + runtime.collaborations \
+        + len(finished)
 
 
 def test_trace_written_when_requested(tmp_path):

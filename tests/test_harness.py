@@ -204,11 +204,13 @@ def test_cli_json_report_loads_back_as_the_same_trials(tmp_path, capsys):
     ["report", "--input", "{tmp}/avg_string.json"],
     ["report", "--input", "{tmp}/evals_string.json", "--format", "csv"],
     ["report", "--input", "{tmp}/avg_nan.json"],
+    ["aggregate", "--input", "{tmp}/nan.json"],
+    ["aggregate", "--input", "{tmp}/infinity.json"],
 ], ids=["ratios", "task", "seconds_per_tick", "report_missing",
         "report_no_mode", "report_not_json", "aggregate_missing",
         "out_under_file", "aggregate_list", "aggregate_strings",
         "report_no_seeds", "report_avg_string", "report_evals_string",
-        "report_avg_nan"])
+        "report_avg_nan", "aggregate_nan", "aggregate_infinity"])
 def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "no_mode.json").write_text(json.dumps(
         {"config_digest": "x", "seeds": [], "rows": [], "trials": []}))
@@ -217,6 +219,8 @@ def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
          "trials": []}))
     (tmp_path / "list.json").write_text(json.dumps([1, 2]))
     (tmp_path / "strings.json").write_text(json.dumps({"row": ["a"]}))
+    (tmp_path / "nan.json").write_text(json.dumps({"a": [math.nan, 1]}))
+    (tmp_path / "infinity.json").write_text(json.dumps({"a": [1, math.inf]}))
     (tmp_path / "not_json.txt").write_text("mode: full\n")
     (tmp_path / "regular_file").write_text("")
     for name, field, value in [("avg_string", "avg", "a"),

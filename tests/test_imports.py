@@ -1,7 +1,7 @@
 """Every name a module imports at module level is used in that module.
 
-Covers the package sources and the scripts. A name counts as used when it
-is loaded anywhere in the module.
+Covers the package sources, the scripts and the tests. A name counts as used
+when it is loaded anywhere in the module.
 """
 
 import ast
@@ -9,7 +9,8 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "src" / "brainstem").glob("*.py"),
-                  *(ROOT / "scripts").glob("*.py")])
+                  *(ROOT / "scripts").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
 
 
 def _module_level_imports(body):

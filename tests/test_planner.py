@@ -330,6 +330,22 @@ def test_empty_action_set_rejected():
         generate_state_tree("toy", "start", [], model=toy_model())
 
 
+def test_excluded_actions_from_an_iterator_stay_excluded():
+    # an iterator is used up by one pass; every vocabulary entry must be
+    # checked against the whole excluded set
+    scenario, _ = load_scenario(2, 0)
+
+    def tree_actions(node):
+        return {a for t in node.transitions
+                for a in (t.action, *tree_actions(t.next_state))}
+
+    tree = generate_state_tree(scenario.mission, "start",
+                               scenario.action_vocab, model=scenario.model,
+                               exclude_actions=iter(["grasp red cube"]))
+    assert tree_actions(tree.root) == {"grasp blue cube", "grasp green cube",
+                                       "release"}
+
+
 def test_generator_agrees_with_validator_on_every_scenario():
     # the generator no longer re-validates its own trees, so every tree it can
     # build for a shipped scenario must pass validate_state_tree unchanged
