@@ -152,10 +152,7 @@ class ScriptedBackend:
         with open(path, "r", encoding="utf-8") as handle:
             return cls(json.load(handle), strict=strict)
 
-    def complete(self, role: str, key) -> str:
-        if isinstance(key, Mapping):
-            key = key.get("mission") or key.get("task_description") or \
-                json.dumps(key, sort_keys=True)
+    def complete(self, role: str, key: str) -> str:
         entries = self._table.get(role, {})
         if key in entries:
             value = entries[key]

@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .errors import ChannelClosed, UnregisteredSender
+from .errors import UnregisteredSender
 from .protocol import Envelope, Importance, serialize_envelope
 
 PRIORITY_ORDER = (Importance.HIGH, Importance.MEDIUM, Importance.LOW)
@@ -48,7 +48,6 @@ class MessageBus:
         self._receipts: dict = {}        # log_id -> DeliveryReceipt
         self._audit: list = []
         self._audit_path = audit_path
-        self._closed = False
 
     # -- time ---------------------------------------------------------------
 
@@ -76,12 +75,6 @@ class MessageBus:
                     self._cursors[key] = len(self._queues[level])
             self._subscriptions[agent_id] = wanted
 
-    def reassign_channel(self, agent_id: str,
-                         priorities: Iterable[Importance]) -> dict:
-        self.subscribe(agent_id, priorities)
-        return {"agent_id": agent_id,
-                "channels": sorted(p.value for p in self._subscriptions[agent_id])}
-
     def subscriptions_of(self, agent_id: str) -> set:
         with self._lock:
             return set(self._subscriptions.get(agent_id, ()))
@@ -89,8 +82,6 @@ class MessageBus:
     # -- publish / deliver ---------------------------------------------------
 
     def publish(self, envelope: Envelope) -> DeliveryReceipt:
-        if self._closed:
-            raise ChannelClosed("bus is shut down")
         sender = envelope.header.agent_id
         if not self._is_registered(sender):
             raise UnregisteredSender(f"{sender!r} is not registered")
@@ -149,12 +140,6 @@ class MessageBus:
 
     # -- introspection --------------------------------------------------------
 
-    def receipt(self, log_id: str) -> DeliveryReceipt:
-        return self._receipts[log_id]
-
     def audit_log(self) -> list:
         with self._lock:
             return list(self._audit)
-
-    def close(self) -> None:
-        self._closed = True

@@ -8,8 +8,9 @@ import sys
 
 from .episode import MODES
 from .errors import BrainstemError, ConfigError, IoError, SchemaViolation
-from .harness import (BenchConfig, EvalBatch, aggregate, emit_report,
-                      is_finite_number, reference_aggregates, run_bench)
+from .harness import (BACKENDS, BenchConfig, EvalBatch, aggregate, emit_report,
+                      reference_aggregates, run_bench)
+from .protocol import is_finite_number
 from .simenv import TASK_IDS
 
 
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--evals", type=int, default=2,
                        help="evaluation blocks per task")
     run_p.add_argument("--backend", default="scripted",
-                       choices=("scripted", "remote"),
+                       choices=BACKENDS,
                        help="completion backend (remote reads BRAINSTEM_* env)")
     run_p.add_argument("--ratios", type=_parse_ratios, default=(1, 100, 1000),
                        help="reactive,memory,deliberative periods in ticks")

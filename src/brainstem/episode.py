@@ -16,8 +16,9 @@ event (task 8's deletion), after which the symbol is the dead end
 ``apple_missing`` and the selector aborts. A replan request is the flag
 ``replan_requested``, not a message. The bus carries one message per event:
 each plan (``SubtaskAssign``), each provider response (``AgentResponse``) and
-each finished action (``ActionFeedback``). No agent reads it; its audit log is
-the episode's record of them.
+each finished action (``ActionFeedback``). No agent reads it, so none
+subscribes and no message waits in a queue; its audit log is the episode's
+record of them.
 
 The reactive controller still runs on every tick, with zero latent and error
 inputs, although no decision reads its output. It is about nine tenths of an
@@ -32,7 +33,6 @@ does not call.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -48,7 +48,8 @@ from .errors import ConfigError, EmptyActionSet
 from .pipeline import RateConfig, ReviewDecision, run_scheduler, state_review
 from .planner import generate_state_tree, select_action
 from .protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
-                       PayloadKind, make_envelope, tick_to_timestamp)
+                       PayloadKind, is_finite_number, make_envelope,
+                       tick_to_timestamp)
 from .reactive import ReactiveController, ReactiveGains
 from .registry import AgentDescriptor, AgentRegistry, Role
 from .simenv import (REACTIVE_SLOWDOWN, ScenarioSpec, WorldState,
@@ -97,13 +98,15 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.memory_period < 1 or self.deliberative_period < 1:
-            raise ConfigError("memory_period and deliberative_period must "
-                              "be >= 1")
-        if self.seconds_per_tick is not None and \
-                not 0.0 <= self.seconds_per_tick < math.inf:
+        for name in ("memory_period", "deliberative_period"):
+            period = getattr(self, name)
+            if type(period) is not int or period < 1:
+                raise ConfigError(f"{name} must be an int >= 1, "
+                                  f"got {period!r}")
+        spt = self.seconds_per_tick
+        if spt is not None and not (is_finite_number(spt) and spt >= 0):
             raise ConfigError(f"seconds_per_tick must be finite and >= 0, "
-                              f"got {self.seconds_per_tick}")
+                              f"got {spt!r}")
 
     def rates(self) -> RateConfig:
         return RateConfig(self.memory_period, self.deliberative_period)
@@ -124,7 +127,6 @@ class EpisodeRuntime:
         self.registry = AgentRegistry()
         self.bus = MessageBus(is_registered=self.registry.is_registered,
                               clock=lambda: self.world.tick)
-        self.registry.bind_bus(self.bus)
         self.registry.register_agent(AgentDescriptor("Leader_1", Role.LEADER))
         self.registry.register_agent(AgentDescriptor("Inspector_1", Role.INSPECTOR))
         self.registry.register_agent(AgentDescriptor("Planner_1", Role.PLANNER))

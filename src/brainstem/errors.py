@@ -39,10 +39,6 @@ class UnregisteredSender(BrainstemError):
     """Publish or subscription change attempted by an unknown agent id."""
 
 
-class ChannelClosed(BrainstemError):
-    """Publish attempted on a bus that has been shut down."""
-
-
 # agent registry
 
 class DuplicateId(BrainstemError):

@@ -20,7 +20,10 @@ from typing import Optional, Sequence
 
 from .episode import EpisodeConfig, Outcome, TrialResult, run_trial
 from .errors import ConfigError, EmptyInput, IoError, SchemaViolation
+from .protocol import is_finite_number
 from .simenv import TASK_IDS
+
+BACKENDS = ("scripted", "remote")
 
 
 def aggregate(values: Sequence[float],
@@ -55,10 +58,12 @@ class BenchConfig:
         bad = [t for t in self.tasks if t not in TASK_IDS]
         if bad:
             raise ConfigError(f"unknown task ids {bad}")
+        if len(set(self.tasks)) != len(self.tasks):
+            raise ConfigError(f"task ids repeat in {list(self.tasks)}")
         if self.trials_per_eval < 1 or self.evals < 1:
             raise ConfigError("trials_per_eval and evals must be >= 1")
-        if self.backend not in ("scripted", "remote"):
-            raise ConfigError(f"backend must be scripted or remote, "
+        if self.backend not in BACKENDS:
+            raise ConfigError(f"backend must be one of {BACKENDS}, "
                               f"got {self.backend!r}")
         self.episode_config()  # raises ConfigError on a bad episode setting
 
@@ -81,10 +86,6 @@ class TaskRow:
     avg: float
     std: float
     outcomes: dict
-
-
-def is_finite_number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _row_ok(row: TaskRow) -> bool:

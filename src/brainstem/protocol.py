@@ -23,6 +23,7 @@ from typing import Any
 from .errors import (CanonicalizationError, ChecksumMismatch, CycleDetected,
                      ParseError, SchemaViolation)
 from .planner import state_tree_problems, subtask_order
+from .simenv import TICKS_PER_SECOND
 
 
 class Importance(str, Enum):
@@ -91,10 +92,12 @@ def parse_utc_instant(text: str) -> datetime:
     return stamp
 
 
-def tick_to_timestamp(tick: int, seconds_per_tick: float = 0.01,
-                      epoch: datetime = datetime(2025, 5, 19, 14, 0, 0, tzinfo=timezone.utc)) -> str:
-    """Deterministic timestamp for virtual-clock runs."""
-    stamp = epoch + timedelta(seconds=tick * seconds_per_tick)
+_EPOCH = datetime(2025, 5, 19, 14, 0, 0, tzinfo=timezone.utc)
+
+
+def tick_to_timestamp(tick: int) -> str:
+    """Deterministic timestamp for virtual-clock runs: tick 0 is ``_EPOCH``."""
+    stamp = _EPOCH + timedelta(seconds=tick / TICKS_PER_SECOND)
     return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -116,16 +119,15 @@ def validate_header(header: MessageHeader) -> MessageHeader:
 class LogIdAllocator:
     """Atomic monotone counter for ``MSG_<n>`` log ids, unique per runtime."""
 
-    def __init__(self, start: int = 1, width: int = 5):
+    def __init__(self, start: int = 1):
         self._next = start
-        self._width = width
         self._lock = threading.Lock()
 
     def allocate(self) -> str:
         with self._lock:
             value = self._next
             self._next += 1
-        return f"MSG_{value:0{self._width}d}"
+        return f"MSG_{value:05d}"
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +136,17 @@ class LogIdAllocator:
 
 def _reject_constant(token):
     raise ValueError(f"non-finite JSON constant {token!r}")
+
+
+def _reject_repeated_keys(pairs):
+    # json keeps a repeated key's last value, which the checksum would then
+    # cover while the earlier ones went unchecked
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def _assert_finite(doc: Any, path: str = "") -> None:
@@ -206,11 +219,6 @@ def serialize_envelope(envelope: Envelope) -> bytes:
     return text.encode("utf-8")
 
 
-def encode_envelope(header: MessageHeader, payload: Payload,
-                    allocator: LogIdAllocator) -> bytes:
-    return serialize_envelope(make_envelope(header, payload, allocator))
-
-
 def _structural_problems(doc: Any) -> str | None:
     """Shape checks that must pass before checksum verification.
 
@@ -247,7 +255,8 @@ def decode_envelope(data: bytes) -> Envelope:
     except UnicodeDecodeError as exc:
         raise ParseError(f"invalid UTF-8: {exc}") from None
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant,
+                         object_pairs_hook=_reject_repeated_keys)
     except ValueError as exc:
         raise ParseError(f"malformed document: {exc}") from None
 
@@ -290,13 +299,14 @@ DIFFICULTY_LEVELS = ("low", "medium", "high")
 FOCUS_MIN, FOCUS_MAX = 3, 5
 
 
-def _is_finite_number(value) -> bool:
+def is_finite_number(value) -> bool:
+    """A finite int or float; bools are not numbers here."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
 
 
 def _is_vector(value) -> bool:
-    return isinstance(value, list) and all(_is_finite_number(v) for v in value)
+    return isinstance(value, list) and all(is_finite_number(v) for v in value)
 
 
 def _nonempty_str(value) -> bool:

@@ -75,12 +75,6 @@ class ReactiveController:
         self._sum = np.zeros(dim)
         self._sumsq = np.zeros(dim)
 
-    def reset(self) -> None:
-        self._window.clear()
-        self._prev_e = np.zeros(self.dim)
-        self._sum[:] = 0.0
-        self._sumsq[:] = 0.0
-
     def _push(self, s_t: np.ndarray) -> None:
         if len(self._window) == self._window.maxlen:
             old = self._window[0]
@@ -113,7 +107,3 @@ class ReactiveController:
         self._prev_e = e_t
         u = self.policy(s_t, a_t, l_t) + self.gains.zeta * correction
         return np.clip(u, -self.gains.u_max, self.gains.u_max)
-
-    @property
-    def window(self) -> list:
-        return list(self._window)

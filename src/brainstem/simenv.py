@@ -228,13 +228,12 @@ def _prob(p):
     return lambda _world: p
 
 
-def _model(transitions, goals, unsafe=()):
+def _model(transitions, goals):
     goals = frozenset(goals)
     return TransitionModel(
         transitions=transitions,
         goal_states=goals,
         proximity=hop_proximity(transitions, goals),
-        unsafe_states=frozenset(unsafe),
     )
 
 

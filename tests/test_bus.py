@@ -99,7 +99,7 @@ def test_exactly_once_per_subscriber(bus, allocator):
 def test_reassignment_picks_up_new_channel(bus, allocator):
     bus.subscribe("bob", {L})
     bus.publish(quick_envelope("alice", H, allocator, text="before"))
-    bus.reassign_channel("bob", {H, L})
+    bus.subscribe("bob", {H, L})
     # messages already queued on a newly joined channel are not replayed
     assert bus.next_message("bob") is None
     bus.publish(quick_envelope("alice", H, allocator, text="after"))
@@ -109,7 +109,7 @@ def test_reassignment_picks_up_new_channel(bus, allocator):
 def test_reassign_to_empty_receives_nothing(bus, allocator):
     bus.subscribe("bob", {H})
     bus.publish(quick_envelope("alice", H, allocator))
-    bus.reassign_channel("bob", set())
+    bus.subscribe("bob", set())
     assert bus.next_message("bob") is None
 
 
@@ -150,7 +150,7 @@ def test_reassign_never_drops_or_duplicates(allocator):
                     delivered.append(got.log_id)
             else:
                 # stay subscribed everywhere; reassignment order shuffles only
-                bus.reassign_channel("sub", {H, M, L})
+                bus.subscribe("sub", {H, M, L})
         delivered.extend(e.log_id for e in iter(lambda: bus.next_message("sub"),
                                                 None))
         assert sorted(delivered) == sorted(published)

@@ -93,8 +93,12 @@ def test_high_difficulty_mission_collaborates():
     ("seconds_per_tick", -0.001),
     ("seconds_per_tick", math.inf),
     ("seconds_per_tick", math.nan),
+    ("memory_period", 2.5),
+    ("memory_period", True),
+    ("seconds_per_tick", True),
 ], ids=["mode", "memory_period", "deliberative_period", "negative_spt",
-        "infinite_spt", "nan_spt"])
+        "infinite_spt", "nan_spt", "float_period", "bool_period",
+        "bool_spt"])
 def test_unknown_mode_rejected(setting, value):
     # a misspelt mode must not quietly run the full collective, and a bad
     # period or tick length is refused before a trial plans or sleeps
@@ -145,6 +149,22 @@ def test_bus_carries_one_message_per_event(monkeypatch):
         [tick_to_timestamp(body["tick"]) for body in finished]
     assert len(audit) == runtime.replans + runtime.collaborations \
         + len(finished)
+
+
+def test_no_bus_message_waits_for_a_reader():
+    # no agent pulls the bus in an episode, so none subscribes and nothing
+    # queues; every publish still reaches the audit log
+    scenario, world = load_scenario(8, 0)
+    runtime = EpisodeRuntime(scenario, world)
+    publish, receipts = runtime.bus.publish, []
+    runtime.bus.publish = lambda envelope: receipts.append(publish(envelope))
+    runtime.run()
+    agents = runtime.registry.active_agents()
+    assert len(agents) == 8 and receipts
+    assert {a.agent_id: runtime.bus.pending_count(a.agent_id)
+            for a in agents} == {a.agent_id: 0 for a in agents}
+    assert [log_id for _, log_id, _ in runtime.bus.audit_log()] == \
+        [receipt.log_id for receipt in receipts]
 
 
 def test_trace_written_when_requested(tmp_path):

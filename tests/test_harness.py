@@ -206,11 +206,13 @@ def test_cli_json_report_loads_back_as_the_same_trials(tmp_path, capsys):
     ["report", "--input", "{tmp}/avg_nan.json"],
     ["aggregate", "--input", "{tmp}/nan.json"],
     ["aggregate", "--input", "{tmp}/infinity.json"],
+    ["run", "--task", "1,1", "--trials", "1", "--evals", "1"],
 ], ids=["ratios", "task", "seconds_per_tick", "report_missing",
         "report_no_mode", "report_not_json", "aggregate_missing",
         "out_under_file", "aggregate_list", "aggregate_strings",
         "report_no_seeds", "report_avg_string", "report_evals_string",
-        "report_avg_nan", "aggregate_nan", "aggregate_infinity"])
+        "report_avg_nan", "aggregate_nan", "aggregate_infinity",
+        "task_duplicate"])
 def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "no_mode.json").write_text(json.dumps(
         {"config_digest": "x", "seeds": [], "rows": [], "trials": []}))

@@ -10,7 +10,7 @@ from brainstem.errors import (CanonicalizationError, ChecksumMismatch, ParseErro
 from brainstem.protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
                                 PayloadKind, canonicalize, compute_checksum,
                                 decode_envelope, decomposition_plan_problems,
-                                encode_envelope, make_envelope,
+                                make_envelope,
                                 serialize_envelope, validate_header, validate_schema)
 from support import crc32_oracle, random_envelope
 
@@ -80,7 +80,8 @@ def test_example_message_round_trips():
         "sensors": {"camera": "object_detected", "lidar": "clear"},
         "feedback": None,
     })
-    wire = encode_envelope(h, payload, LogIdAllocator(start=24890))
+    wire = serialize_envelope(make_envelope(h, payload,
+                                            LogIdAllocator(start=24890)))
     doc = json.loads(wire)
     assert set(doc) == {"header", "payload", "checksum", "log_id"}
     assert doc["header"]["timestamp"] == "2025-05-19T14:23:01Z"
@@ -111,8 +112,9 @@ def test_invalid_importance_rejected_before_encoding():
 
 
 def test_decode_rejects_zeroed_checksum():
-    wire = encode_envelope(header(), Payload(PayloadKind.INTERMEDIATE_TEXT,
-                                             {"text": "hello"}), LogIdAllocator())
+    wire = serialize_envelope(make_envelope(
+        header(), Payload(PayloadKind.INTERMEDIATE_TEXT, {"text": "hello"}),
+        LogIdAllocator()))
     doc = json.loads(wire)
     assert doc["checksum"] != "00000000"
     doc["checksum"] = "00000000"
@@ -128,6 +130,18 @@ def test_decode_rejects_garbage():
         decode_envelope(b'{"header": {}}')
     with pytest.raises(ParseError):
         decode_envelope(b"\xff\xfe\x00")
+
+
+def test_decode_rejects_repeated_key():
+    # json would keep the last "payload", which alone the checksum covers
+    wire = serialize_envelope(make_envelope(
+        header(), Payload(PayloadKind.INTERMEDIATE_TEXT, {"text": "hi"}),
+        LogIdAllocator()))
+    assert decode_envelope(wire).payload.body == {"text": "hi"}
+    evil = b'"payload":{"kind":"IntermediateText","body":{"text":"EVIL"}},'
+    tampered = wire.replace(b'"payload":', evil + b'"payload":', 1)
+    with pytest.raises(ParseError, match="repeated key 'payload'"):
+        decode_envelope(tampered)
 
 
 def test_decode_validates_payload_schema():
