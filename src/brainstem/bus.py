@@ -1,8 +1,9 @@
 """Priority message bus: three FIFO channels with message-boundary preemption.
 
-Delivery is pull-based against per-subscriber cursors, which keeps runs
+Delivery is pull-based from per-subscriber inboxes, which keeps runs
 deterministic under a single-threaded scheduler while staying safe for
-concurrent publishers and subscribers. Preemption never truncates an
+concurrent publishers and subscribers. The bus holds a message only until
+each subscriber that owes it has pulled it. Preemption never truncates an
 in-flight message: after each delivery the next pull re-selects the
 highest-priority non-empty channel.
 """
@@ -11,10 +12,11 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .errors import UnregisteredSender
+from .errors import IoError, UnregisteredSender
 from .protocol import Envelope, Importance, serialize_envelope
 
 PRIORITY_ORDER = (Importance.HIGH, Importance.MEDIUM, Importance.LOW)
@@ -32,7 +34,9 @@ class MessageBus:
 
     ``is_registered`` gates publishers and subscribers; the registry wires
     itself in at construction time. ``clock`` supplies virtual ticks for
-    receipts (defaults to an internal operation counter).
+    receipts (defaults to an internal operation counter). With an
+    ``audit_path``, a publish or delivery whose audit line cannot be written
+    raises ``IoError`` and changes nothing.
     """
 
     def __init__(self, is_registered: Callable[[str], bool],
@@ -42,37 +46,44 @@ class MessageBus:
         self._clock = clock
         self._ops = 0
         self._lock = threading.RLock()
-        self._queues = {level: [] for level in PRIORITY_ORDER}
+        # level -> agent_id -> deque of (envelope, receipt) the agent owes
+        self._inboxes = {level: {} for level in PRIORITY_ORDER}
         self._subscriptions: dict = {}   # agent_id -> set[Importance]
-        self._cursors: dict = {}         # (agent_id, Importance) -> int
-        self._receipts: dict = {}        # log_id -> DeliveryReceipt
         self._audit: list = []
         self._audit_path = audit_path
 
-    # -- time ---------------------------------------------------------------
+    # -- time and audit file -------------------------------------------------
 
-    def _now(self) -> int:
+    def _next_tick(self) -> int:
+        """Tick of the operation about to be counted."""
         if self._clock is not None:
             return self._clock()
-        return self._ops
+        return self._ops + 1
+
+    def _write_audit_line(self, line: bytes) -> None:
+        try:
+            with open(self._audit_path, "ab") as sink:
+                sink.write(line + b"\n")
+        except OSError as exc:
+            raise IoError(f"cannot write audit file {self._audit_path}: "
+                          f"{exc}") from None
 
     # -- subscriptions ------------------------------------------------------
 
     def subscribe(self, agent_id: str, priorities: Iterable[Importance]) -> None:
         """Replace the agent's subscription set atomically.
 
-        Cursors are created at the current channel tail on first contact with
-        a channel and persist across reassignments, so queued messages are
-        neither dropped nor duplicated by a reassignment.
+        An empty inbox is created on first contact with a channel, so messages
+        published before then are not replayed. Inboxes persist across
+        reassignments, so queued messages are neither dropped nor duplicated
+        by a reassignment.
         """
         if not self._is_registered(agent_id):
             raise UnregisteredSender(f"{agent_id!r} is not registered")
         wanted = set(priorities)
         with self._lock:
             for level in wanted:
-                key = (agent_id, level)
-                if key not in self._cursors:
-                    self._cursors[key] = len(self._queues[level])
+                self._inboxes[level].setdefault(agent_id, deque())
             self._subscriptions[agent_id] = wanted
 
     def subscriptions_of(self, agent_id: str) -> set:
@@ -86,15 +97,14 @@ class MessageBus:
         if not self._is_registered(sender):
             raise UnregisteredSender(f"{sender!r} is not registered")
         with self._lock:
+            receipt = DeliveryReceipt(envelope.log_id, self._next_tick())
+            if self._audit_path is not None:
+                self._write_audit_line(serialize_envelope(envelope))
             self._ops += 1
-            receipt = DeliveryReceipt(envelope.log_id, enqueued_at=self._now())
             # audit entry is appended before the receipt is returned
             self._audit.append(("publish", envelope.log_id, envelope))
-            if self._audit_path is not None:
-                with open(self._audit_path, "ab") as sink:
-                    sink.write(serialize_envelope(envelope) + b"\n")
-            self._queues[envelope.header.importance].append(envelope)
-            self._receipts[envelope.log_id] = receipt
+            for inbox in self._inboxes[envelope.header.importance].values():
+                inbox.append((envelope, receipt))
             return receipt
 
     def next_message(self, subscriber: str) -> Optional[Envelope]:
@@ -106,37 +116,30 @@ class MessageBus:
         if not self._is_registered(subscriber):
             raise UnregisteredSender(f"{subscriber!r} is not registered")
         with self._lock:
-            self._ops += 1
             subscribed = self._subscriptions.get(subscriber, ())
             for level in PRIORITY_ORDER:
-                if level not in subscribed:
-                    continue
-                queue = self._queues[level]
-                cursor = self._cursors[(subscriber, level)]
-                if cursor < len(queue):
-                    envelope = queue[cursor]
-                    self._cursors[(subscriber, level)] = cursor + 1
-                    receipt = self._receipts[envelope.log_id]
-                    receipt.delivered_at[subscriber] = self._now()
-                    self._audit.append(("deliver", envelope.log_id, subscriber))
+                inbox = self._inboxes[level].get(subscriber)
+                if level in subscribed and inbox:
+                    envelope, receipt = inbox[0]
+                    at = self._next_tick()
                     if self._audit_path is not None:
-                        record = json.dumps({
+                        self._write_audit_line(json.dumps({
                             "receipt": envelope.log_id,
                             "delivered_to": subscriber,
-                            "at": receipt.delivered_at[subscriber],
-                        }, sort_keys=True)
-                        with open(self._audit_path, "a",
-                                  encoding="utf-8") as sink:
-                            sink.write(record + "\n")
+                            "at": at,
+                        }, sort_keys=True).encode())
+                    self._ops += 1
+                    inbox.popleft()
+                    receipt.delivered_at[subscriber] = at
+                    self._audit.append(("deliver", envelope.log_id, subscriber))
                     return envelope
+            self._ops += 1
         return None
 
     def pending_count(self, subscriber: str) -> int:
         with self._lock:
-            total = 0
-            for level in self._subscriptions.get(subscriber, ()):
-                total += len(self._queues[level]) - self._cursors[(subscriber, level)]
-            return total
+            return sum(len(self._inboxes[level][subscriber])
+                       for level in self._subscriptions.get(subscriber, ()))
 
     # -- introspection --------------------------------------------------------
 

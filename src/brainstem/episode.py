@@ -87,6 +87,14 @@ class TrialResult:
     detail: str = ""
 
 
+def require_positive_ints(config, names) -> None:
+    """Raise ConfigError unless each named field of ``config`` is an int >= 1."""
+    for name in names:
+        value = getattr(config, name)
+        if type(value) is not int or value < 1:
+            raise ConfigError(f"{name} must be an int >= 1, got {value!r}")
+
+
 @dataclass
 class EpisodeConfig:
     mode: str = "full"                # one of MODES
@@ -98,11 +106,7 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("memory_period", "deliberative_period"):
-            period = getattr(self, name)
-            if type(period) is not int or period < 1:
-                raise ConfigError(f"{name} must be an int >= 1, "
-                                  f"got {period!r}")
+        require_positive_ints(self, ("memory_period", "deliberative_period"))
         spt = self.seconds_per_tick
         if spt is not None and not (is_finite_number(spt) and spt >= 0):
             raise ConfigError(f"seconds_per_tick must be finite and >= 0, "

@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Optional, Sequence
 
-from .episode import EpisodeConfig, Outcome, TrialResult, run_trial
+from .episode import (EpisodeConfig, Outcome, TrialResult,
+                      require_positive_ints, run_trial)
 from .errors import ConfigError, EmptyInput, IoError, SchemaViolation
 from .protocol import is_finite_number
 from .simenv import TASK_IDS
@@ -55,13 +56,14 @@ class BenchConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        bad = [t for t in self.tasks if t not in TASK_IDS]
+        bad = [t for t in self.tasks if type(t) is not int or t not in TASK_IDS]
         if bad:
             raise ConfigError(f"unknown task ids {bad}")
         if len(set(self.tasks)) != len(self.tasks):
             raise ConfigError(f"task ids repeat in {list(self.tasks)}")
-        if self.trials_per_eval < 1 or self.evals < 1:
-            raise ConfigError("trials_per_eval and evals must be >= 1")
+        require_positive_ints(self, ("trials_per_eval", "evals"))
+        if type(self.base_seed) is not int:
+            raise ConfigError(f"base_seed must be an int, got {self.base_seed!r}")
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, "
                               f"got {self.backend!r}")

@@ -372,7 +372,6 @@ START_STATE = "start_state"
 
 @dataclass(frozen=True)
 class DagNode:
-    node_id: str
     kind: str  # "state" | "action"
     label: str
 
@@ -444,7 +443,7 @@ def build_htn_dag(plan: Mapping, action_vocab: Optional[Iterable[str]] = None) -
     by_id = {s["subtask_id"]: s for s in plan["subtasks"]}
     order, deps = subtask_order(plan["subtasks"])
 
-    nodes = {"s0": DagNode("s0", "state", START_STATE)}
+    nodes = {"s0": DagNode("state", START_STATE)}
     edges: list = []
     execution_order: list = []
     for sid in order:
@@ -454,8 +453,8 @@ def build_htn_dag(plan: Mapping, action_vocab: Optional[Iterable[str]] = None) -
             raise UnknownAction(f"{label!r} is not in the action vocabulary")
         action_id = f"a:{sid}"
         state_id = f"s:{sid}"
-        nodes[action_id] = DagNode(action_id, "action", label)
-        nodes[state_id] = DagNode(state_id, "state", f"{sid}_done")
+        nodes[action_id] = DagNode("action", label)
+        nodes[state_id] = DagNode("state", f"{sid}_done")
         sources = [f"s:{dep}" for dep in deps[sid]] or ["s0"]
         for src in sources:
             edges.append((src, action_id))

@@ -27,7 +27,6 @@ class Role(str, Enum):
 class AgentStatus(str, Enum):
     ACTIVE = "Active"
     FAILED = "Failed"
-    RESTARTING = "Restarting"
 
 
 # Default channel subscriptions per role. Every role listens on MEDIUM so

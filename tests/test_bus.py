@@ -1,10 +1,17 @@
+import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 rule)
 
-from brainstem.bus import MessageBus
-from brainstem.errors import UnregisteredSender
+from brainstem.bus import PRIORITY_ORDER, MessageBus
+from brainstem.errors import DuplicateId, IoError, NotFailed, UnregisteredSender
 from brainstem.protocol import Importance, LogIdAllocator
+from brainstem.registry import (DEFAULT_CHANNELS, AgentDescriptor,
+                                AgentRegistry, Role)
 from support import quick_envelope
 
 H, M, L = Importance.HIGH, Importance.MEDIUM, Importance.LOW
@@ -237,3 +244,171 @@ def test_concurrent_publishers_and_subscriber(allocator):
         got.append(env.log_id)
     assert sorted(got) == sorted(i for batch in sent for i in batch)
     assert len(set(got)) == 300
+
+
+def test_unwritable_audit_file_fails_publish_and_changes_nothing(
+        tmp_path, allocator):
+    registered = {"alice", "bob"}
+    bus = MessageBus(is_registered=registered.__contains__,
+                     audit_path=str(tmp_path))  # a directory
+    bus.subscribe("bob", {H})
+    with pytest.raises(IoError):
+        bus.publish(quick_envelope("alice", H, allocator))
+    assert bus.audit_log() == []
+    assert bus.pending_count("bob") == 0
+    assert bus.next_message("bob") is None
+
+
+def test_unwritable_delivery_record_leaves_the_message_owed(
+        tmp_path, allocator):
+    path = tmp_path / "audit.log"
+    registered = {"alice", "bob"}
+    bus = MessageBus(is_registered=registered.__contains__,
+                     audit_path=str(path))
+    bus.subscribe("bob", {H})
+    envelope = quick_envelope("alice", H, allocator)
+    receipt = bus.publish(envelope)
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(IoError):
+        bus.next_message("bob")
+    assert bus.pending_count("bob") == 1
+    assert receipt.delivered_at == {}
+    assert [op for op, _, _ in bus.audit_log()] == ["publish"]
+    path.rmdir()
+    assert bus.next_message("bob") == envelope
+    # the failed pull did not advance the operation clock either
+    assert receipt.delivered_at == {"bob": 2}
+    assert bus.pending_count("bob") == 0
+
+
+def test_bus_drops_a_message_once_no_subscriber_owes_it(bus, allocator):
+    bus.subscribe("bob", {H})
+    owed = weakref.ref(bus.publish(quick_envelope("alice", H, allocator)))
+    unheard = weakref.ref(bus.publish(quick_envelope("alice", M, allocator)))
+    gc.collect()
+    assert owed() is not None
+    assert bus.next_message("bob") is not None
+    gc.collect()
+    assert owed() is None and unheard() is None
+
+
+ROLES = {"Leader_1": Role.LEADER, "Inspector_1": Role.INSPECTOR,
+         "Worker_1": Role.WORKER}
+LEVEL_SETS = st.sets(st.sampled_from(PRIORITY_ORDER))
+
+
+class BusWithRegistry(RuleBasedStateMachine):
+    """The bus bound to a registry, against a model that keeps a list of owed
+    log ids per (agent, level) from the agent's first subscription on."""
+
+    def __init__(self):
+        super().__init__()
+        self.registry = AgentRegistry()
+        self.bus = MessageBus(is_registered=self.registry.is_registered)
+        self.registry.bind_bus(self.bus)
+        self.allocator = LogIdAllocator()
+        self.subscribed: dict = {}   # agent -> set of levels
+        self.owed: dict = {}         # (agent, level) -> [log_id, ...]
+        self.saved: dict = {}        # agent -> levels saved at failure
+        self.failed: set = set()
+        self.delivered: set = set()  # (agent, log_id)
+
+    def model_subscribe(self, agent, levels):
+        for level in levels:
+            self.owed.setdefault((agent, level), [])
+        self.subscribed[agent] = set(levels)
+
+    def owed_count(self, agent):
+        return sum(len(self.owed[(agent, level)])
+                   for level in self.subscribed.get(agent, ()))
+
+    @initialize(agents=st.sets(st.sampled_from(sorted(ROLES)), min_size=1))
+    def register_some(self, agents):
+        for agent in sorted(agents):
+            self.register(agent)
+
+    @rule(agent=st.sampled_from(sorted(ROLES)))
+    def register(self, agent):
+        descriptor = AgentDescriptor(agent, ROLES[agent], ("tag",))
+        if agent in self.subscribed and agent not in self.failed:
+            with pytest.raises(DuplicateId):
+                self.registry.register_agent(descriptor)
+            return
+        self.registry.register_agent(descriptor)
+        self.failed.discard(agent)
+        self.model_subscribe(agent, DEFAULT_CHANNELS[ROLES[agent]])
+
+    @rule(agent=st.sampled_from(sorted(ROLES)), levels=LEVEL_SETS)
+    def subscribe(self, agent, levels):
+        if agent not in self.subscribed:
+            with pytest.raises(UnregisteredSender):
+                self.bus.subscribe(agent, levels)
+            return
+        self.bus.subscribe(agent, levels)
+        self.model_subscribe(agent, levels)
+
+    @rule(sender=st.sampled_from(sorted(ROLES)),
+          level=st.sampled_from(PRIORITY_ORDER))
+    def publish(self, sender, level):
+        envelope = quick_envelope(sender, level, self.allocator)
+        if sender not in self.subscribed:
+            with pytest.raises(UnregisteredSender):
+                self.bus.publish(envelope)
+            return
+        self.bus.publish(envelope)
+        for (_, owed_level), log_ids in self.owed.items():
+            if owed_level is level:
+                log_ids.append(envelope.log_id)
+
+    @rule(agent=st.sampled_from(sorted(ROLES)))
+    def pull(self, agent):
+        if agent not in self.subscribed:
+            with pytest.raises(UnregisteredSender):
+                self.bus.next_message(agent)
+            return
+        got = self.bus.next_message(agent)
+        for level in PRIORITY_ORDER:
+            log_ids = self.owed.get((agent, level))
+            if level in self.subscribed[agent] and log_ids:
+                expected = log_ids.pop(0)
+                assert got is not None and got.log_id == expected
+                assert (agent, expected) not in self.delivered
+                self.delivered.add((agent, expected))
+                return
+        assert got is None
+
+    @rule(agent=st.sampled_from(sorted(ROLES)))
+    def drain(self, agent):
+        if agent in self.subscribed:
+            for _ in range(self.owed_count(agent) + 1):
+                self.pull(agent)
+
+    @rule(agent=st.sampled_from(sorted(ROLES)))
+    def mark_failed(self, agent):
+        if agent not in self.subscribed:
+            return
+        self.registry.mark_failed(agent)
+        self.saved[agent] = set(self.subscribed[agent])
+        self.failed.add(agent)
+
+    @rule(agent=st.sampled_from(sorted(ROLES)))
+    def reinitialize(self, agent):
+        if agent not in self.failed:
+            with pytest.raises(NotFailed):
+                self.registry.reinitialize(agent)
+            return
+        self.registry.reinitialize(agent)
+        self.failed.discard(agent)
+        self.model_subscribe(agent, self.saved.pop(
+            agent, DEFAULT_CHANNELS[ROLES[agent]]))
+
+    @invariant()
+    def pending_counts_match_the_model(self):
+        for agent in ROLES:
+            assert self.bus.pending_count(agent) == self.owed_count(agent)
+
+
+BusWithRegistry.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None)
+test_bus_with_registry_matches_model = BusWithRegistry.TestCase

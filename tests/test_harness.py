@@ -94,6 +94,22 @@ def test_config_validation():
         BenchConfig(backend="carrier-pigeon")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("trials_per_eval", 2.5), ("trials_per_eval", "3"),
+    ("trials_per_eval", True), ("evals", True), ("evals", 2.0),
+    ("base_seed", 1.5), ("base_seed", "0"), ("base_seed", False),
+    ("tasks", (True,)), ("tasks", [3.0]),
+])
+def test_config_refuses_mistyped_counts_seeds_and_task_ids(field, value):
+    with pytest.raises(ConfigError):
+        BenchConfig(**{field: value})
+
+
+def test_config_accepts_a_negative_seed_and_a_task_list():
+    config = BenchConfig(tasks=[3, 5], base_seed=-3)
+    assert (list(config.tasks), config.base_seed) == ([3, 5], -3)
+
+
 def test_batch_round_trips_through_json(tmp_path):
     config = small_config(out_dir=str(tmp_path))
     batch = run_bench(config)

@@ -1,8 +1,11 @@
-"""Every function, method and class the package defines is referred to.
+"""Every function, method, class and class-level name the package defines is
+referred to.
 
-A definition counts as referred to when its name is loaded, imported or read
-as an attribute in the package sources, the scripts, the benchmark or the
-tests. Dunder methods are called by the interpreter and are exempt.
+Class-level names are the names a class body assigns, such as enum members
+and dataclass fields. A definition counts as referred to when its name is
+loaded, imported or read as an attribute in the package sources, the scripts,
+the benchmark or the tests; a field that is only passed to a constructor is
+not. Dunder names are used by the interpreter and are exempt.
 """
 
 import ast
@@ -15,13 +18,32 @@ READERS = sorted([*PACKAGE, *(ROOT / "scripts").glob("*.py"),
                   *(ROOT / "perfbench").glob("*.py")])
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def class_level_names(node: ast.ClassDef):
+    """(name, line) of every name the body of class ``node`` assigns."""
+    for stmt in node.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and not is_dunder(target.id):
+                yield target.id, stmt.lineno
+
+
 def definitions(tree):
-    """(name, line) of every function, method and class in ``tree``."""
+    """(name, line) of every function, method, class and class-level name."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)) and not (
-                node.name.startswith("__") and node.name.endswith("__")):
+                             ast.ClassDef)) and not is_dunder(node.name):
             yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            yield from class_level_names(node)
 
 
 def references(tree):
@@ -56,6 +78,15 @@ def test_checker_flags_an_unreferenced_definition():
     caller = "from box import Box\nBox().used()\n"
     assert unreferenced({"box.py": source}, [source, caller]) == \
         {"box.py": [("spare", 6)]}
+
+
+def test_checker_flags_an_unread_enum_member_and_field():
+    source = ("class Mood(Enum):\n    CALM = 1\n    NEVER = 2\n"
+              "@dataclass\nclass Pair:\n    left: int\n    spare: int = 0\n"
+              "    __slots__ = ()\n")
+    caller = "Mood.CALM\nPair(1, spare=2).left\n"
+    assert unreferenced({"pair.py": source}, [source, caller]) == \
+        {"pair.py": [("NEVER", 3), ("spare", 7)]}
 
 
 def test_every_package_definition_is_referred_to():
