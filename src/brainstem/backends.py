@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 import math
 import time
-import urllib.error
-import urllib.request
 from typing import Mapping, Optional
 
 from .errors import BackendError
@@ -212,6 +210,11 @@ class RemoteBackend:
         )
 
     def complete(self, role: str, key) -> str:
+        # the network stack loads only when a request is sent, so scripted
+        # runs never import it
+        import urllib.error
+        import urllib.request
+
         body = json.dumps({"role": role, "prompt": str(key),
                            "model": self.model}).encode("utf-8")
         headers = {"Content-Type": "application/json"}

@@ -56,6 +56,9 @@ class BenchConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
+        if not isinstance(self.tasks, (tuple, list)):
+            raise ConfigError("tasks must be a tuple or list of task ids, "
+                              f"got {self.tasks!r}")
         bad = [t for t in self.tasks if type(t) is not int or t not in TASK_IDS]
         if bad:
             raise ConfigError(f"unknown task ids {bad}")

@@ -6,6 +6,14 @@ reflected, init/final-xor 0xFFFFFFFF) over the canonical encoding of the
 header, payload and log id, so any single-bit corruption outside the checksum
 field itself is detectable. Canonical form: sorted keys, no insignificant
 whitespace, UTF-8, non-finite numbers rejected.
+
+The payload vocabulary is closed: exactly the four kinds the program sends,
+each with one schema.
+
+- ``SubtaskAssign``: the leader's decomposition plan (``episode``).
+- ``AgentResponse``: a provider's certified result (``episode``).
+- ``ActionFeedback``: the outcome of a finished action (``episode``).
+- ``HtnMemory``: an episodic-memory snapshot (``memory.broadcast_memory``).
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Any
 
 from .errors import (CanonicalizationError, ChecksumMismatch, CycleDetected,
                      ParseError, SchemaViolation)
-from .planner import state_tree_problems, subtask_order
+from .planner import subtask_order
 from .simenv import TICKS_PER_SECOND
 
 
@@ -34,14 +42,9 @@ class Importance(str, Enum):
 
 class PayloadKind(str, Enum):
     SUBTASK_ASSIGN = "SubtaskAssign"
-    MOTION_PRIMITIVE = "MotionPrimitive"
-    HIGH_LEVEL_COMMAND = "HighLevelCommand"
     AGENT_RESPONSE = "AgentResponse"
     HTN_MEMORY = "HtnMemory"
-    ENV_OBSERVATION = "EnvObservation"
     ACTION_FEEDBACK = "ActionFeedback"
-    ACTION_HISTORY = "ActionHistory"
-    INTERMEDIATE_TEXT = "IntermediateText"
 
 
 _LOG_ID_RE = re.compile(r"^MSG_[0-9]+$")
@@ -455,63 +458,13 @@ def _provider_response_problems(doc: Any) -> list:
     return problems
 
 
-def _subtask_assign(body: dict) -> list:
-    return decomposition_plan_problems(body)
-
-
-def _motion_primitive(body: dict) -> list:
-    problems: list = []
-    _check_keys(body, required={
-        "primitive": (_nonempty_str, "a non-empty string"),
-        "values": (_is_vector, "a list of finite numbers"),
-    }, optional={}, problems=problems)
-    return problems
-
-
-def _high_level_command(body: dict) -> list:
-    problems: list = []
-    _check_keys(body, required={
-        "goal": (_nonempty_str, "a non-empty string"),
-    }, optional={
-        "sensors": (lambda v: isinstance(v, dict), "a document"),
-        "feedback": (lambda v: v is None or isinstance(v, str), "a string or null"),
-        "command": (_nonempty_str, "a non-empty string"),
-    }, problems=problems)
-    return problems
-
-
-def _agent_response(body: dict) -> list:
-    # two shapes ride this kind: a worker's collaboration decision and a
-    # provider's certified result
-    if isinstance(body, dict) and "collaboration_required" in body:
-        return collaboration_decision_problems(body)
-    return _provider_response_problems(body)
-
-
 def _htn_memory(body: dict) -> list:
-    # either an episodic-memory snapshot or a state-transition tree
-    if isinstance(body, dict) and "next_state" in body:
-        return state_tree_problems(body)
     problems: list = []
     _check_keys(body, required={
         "vector": (_is_vector, "a list of finite numbers"),
         "tick": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
                  "a non-negative integer"),
     }, optional={}, problems=problems)
-    return problems
-
-
-def _env_observation(body: dict) -> list:
-    problems: list = []
-    _check_keys(body, required={
-        "tick": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-                 "a non-negative integer"),
-    }, optional={
-        "visible_objects": (lambda v: isinstance(v, list), "a list"),
-        "containers": (lambda v: isinstance(v, dict), "a document"),
-        "gripper": (lambda v: isinstance(v, dict), "a document"),
-        "embedding": (_is_vector, "a list of finite numbers"),
-    }, problems=problems)
     return problems
 
 
@@ -528,36 +481,11 @@ def _action_feedback(body: dict) -> list:
     return problems
 
 
-def _action_history(body: dict) -> list:
-    problems: list = []
-    _check_keys(body, required={
-        "actions": (lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v),
-                    "a list of action names"),
-    }, optional={
-        "capacity": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-                     "a positive integer"),
-    }, problems=problems)
-    return problems
-
-
-def _intermediate_text(body: dict) -> list:
-    problems: list = []
-    _check_keys(body, required={
-        "text": (lambda v: isinstance(v, str), "a string"),
-    }, optional={}, problems=problems)
-    return problems
-
-
 _SCHEMAS = {
-    PayloadKind.SUBTASK_ASSIGN: _subtask_assign,
-    PayloadKind.MOTION_PRIMITIVE: _motion_primitive,
-    PayloadKind.HIGH_LEVEL_COMMAND: _high_level_command,
-    PayloadKind.AGENT_RESPONSE: _agent_response,
+    PayloadKind.SUBTASK_ASSIGN: decomposition_plan_problems,
+    PayloadKind.AGENT_RESPONSE: _provider_response_problems,
     PayloadKind.HTN_MEMORY: _htn_memory,
-    PayloadKind.ENV_OBSERVATION: _env_observation,
     PayloadKind.ACTION_FEEDBACK: _action_feedback,
-    PayloadKind.ACTION_HISTORY: _action_history,
-    PayloadKind.INTERMEDIATE_TEXT: _intermediate_text,
 }
 
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
-from .errors import (DuplicateAssignment, DuplicateId, NotFailed, SchemaViolation,
-                     UnknownWorker)
+from .errors import (DuplicateAssignment, DuplicateId, IoError, NotFailed,
+                     SchemaViolation, UnknownWorker)
 from .protocol import Importance
 
 log = logging.getLogger(__name__)
@@ -21,7 +21,6 @@ class Role(str, Enum):
     WORKER = "Worker"
     INSPECTOR = "Inspector"
     PLANNER = "Planner"
-    PROVIDER = "Provider"
 
 
 class AgentStatus(str, Enum):
@@ -36,7 +35,6 @@ DEFAULT_CHANNELS = {
     Role.WORKER: {Importance.MEDIUM, Importance.LOW},
     Role.INSPECTOR: {Importance.HIGH, Importance.MEDIUM},
     Role.PLANNER: {Importance.HIGH, Importance.MEDIUM},
-    Role.PROVIDER: {Importance.MEDIUM, Importance.LOW},
 }
 
 
@@ -84,10 +82,10 @@ class AgentRegistry:
             existing = self._agents.get(descriptor.agent_id)
             if existing is not None and existing.status is AgentStatus.ACTIVE:
                 raise DuplicateId(f"{descriptor.agent_id!r} is already active")
-            if descriptor.role in (Role.WORKER, Role.PROVIDER) and not descriptor.expertise:
+            if descriptor.role is Role.WORKER and not descriptor.expertise:
                 raise SchemaViolation(
                     f"{descriptor.agent_id}: expertise must be non-empty for "
-                    f"{descriptor.role.value} agents")
+                    "Worker agents")
             descriptor = replace(descriptor, status=AgentStatus.ACTIVE,
                                  expertise=tuple(descriptor.expertise))
             self._agents[descriptor.agent_id] = descriptor
@@ -148,22 +146,21 @@ class AgentRegistry:
     def reinitialize(self, agent_id: str, context: Optional[Mapping] = None,
                      tick: int = 0,
                      last_message_log_id: Optional[str] = None) -> str:
-        """Reset a failed agent to its initial configuration and log the crash."""
+        """Reset a failed agent to its initial configuration and log the crash.
+
+        The crash log line is written before any state changes, so an
+        unwritable ``crash_log_path`` raises ``IoError`` and leaves the agent
+        ``Failed`` with no new record.
+        """
         with self._lock:
             agent = self._agents.get(agent_id)
             if agent is None or agent.status is not AgentStatus.FAILED:
                 raise NotFailed(f"{agent_id!r} is not in the Failed state")
             record = CrashRecord(agent_id, tick, last_message_log_id,
                                  dict(context or {}))
-            self._crash_records.append(record)
             if self._crash_log_path is not None:
-                with open(self._crash_log_path, "a", encoding="utf-8") as sink:
-                    sink.write(json.dumps({
-                        "agent_id": record.agent_id,
-                        "tick": record.tick,
-                        "last_message_log_id": record.last_message_log_id,
-                        "context_snapshot": record.context_snapshot,
-                    }, sort_keys=True) + "\n")
+                self._write_crash_line(record)
+            self._crash_records.append(record)
             log.warning("reinitializing %s after failure at tick %d", agent_id, tick)
             self._agents[agent_id] = replace(self._initial[agent_id],
                                              status=AgentStatus.ACTIVE)
@@ -172,6 +169,20 @@ class AgentRegistry:
                     agent_id, DEFAULT_CHANNELS[agent.role])
                 self.bus.subscribe(agent_id, subscriptions)
             return agent_id
+
+    def _write_crash_line(self, record: CrashRecord) -> None:
+        line = json.dumps({
+            "agent_id": record.agent_id,
+            "tick": record.tick,
+            "last_message_log_id": record.last_message_log_id,
+            "context_snapshot": record.context_snapshot,
+        }, sort_keys=True)
+        try:
+            with open(self._crash_log_path, "a", encoding="utf-8") as sink:
+                sink.write(line + "\n")
+        except OSError as exc:
+            raise IoError(f"cannot write crash log {self._crash_log_path}: "
+                          f"{exc}") from None
 
     def crash_records(self, agent_id: Optional[str] = None) -> list:
         with self._lock:

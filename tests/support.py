@@ -52,44 +52,15 @@ def random_body(rng: random.Random, kind: PayloadKind) -> dict:
                 for i in range(n)
             ],
         }
-    if kind is PayloadKind.MOTION_PRIMITIVE:
-        return {"primitive": _word(rng),
-                "values": [round(rng.uniform(-3, 3), 6) for _ in range(rng.randint(0, 6))]}
-    if kind is PayloadKind.HIGH_LEVEL_COMMAND:
-        body = {"goal": f"inspect_zone_{rng.randint(1, 9)}"}
-        if rng.random() < 0.5:
-            body["sensors"] = {"camera": _word(rng), "lidar": "clear"}
-        if rng.random() < 0.5:
-            body["feedback"] = None if rng.random() < 0.5 else _word(rng)
-        return body
     if kind is PayloadKind.AGENT_RESPONSE:
-        if rng.random() < 0.5:
-            n = rng.randint(0, 2)
-            return {
-                "collaboration_required": n > 0,
-                "requirement": [
-                    {"request_id": f"{i + 1:04d}",
-                     "worker_id": f"Worker_{rng.randint(1, 5)}",
-                     "request_detail": f"validate {_word(rng)}"}
-                    for i in range(n)
-                ],
-            }
         return {"response": f"analysis of {_word(rng)} finished"}
     if kind is PayloadKind.HTN_MEMORY:
         return {"vector": [round(rng.gauss(0, 1), 6) for _ in range(8)],
                 "tick": rng.randint(0, 10_000)}
-    if kind is PayloadKind.ENV_OBSERVATION:
-        return {"tick": rng.randint(0, 10_000),
-                "visible_objects": [_word(rng) for _ in range(rng.randint(0, 3))],
-                "gripper": {"holding": None}}
-    if kind is PayloadKind.ACTION_FEEDBACK:
-        body = {"action": _word(rng), "success": rng.random() < 0.5}
-        if rng.random() < 0.3:
-            body["error"] = "precondition not met"
-        return body
-    if kind is PayloadKind.ACTION_HISTORY:
-        return {"actions": [_word(rng) for _ in range(rng.randint(0, 6))]}
-    return {"text": " ".join(_word(rng) for _ in range(rng.randint(0, 5)))}
+    body = {"action": _word(rng), "success": rng.random() < 0.5}
+    if rng.random() < 0.3:
+        body["error"] = "precondition not met"
+    return body
 
 
 def random_tree_doc(rng: random.Random, max_depth: int = 4, branching: int = 3,
@@ -179,8 +150,9 @@ def enumerated_beliefs(episode, params):
 def quick_envelope(agent_id: str, importance: Importance,
                    allocator: LogIdAllocator, text: str = "x", tick: int = 0):
     header = MessageHeader(tick_to_timestamp(tick), agent_id, importance)
-    return make_envelope(header, Payload(PayloadKind.INTERMEDIATE_TEXT,
-                                         {"text": text}), allocator)
+    return make_envelope(header, Payload(PayloadKind.ACTION_FEEDBACK,
+                                         {"action": text, "success": True}),
+                         allocator)
 
 
 def model_states(model) -> list:

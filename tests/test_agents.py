@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -289,6 +293,20 @@ def test_remote_backend_retries_then_raises():
                             timeout=0.05, backoff=0.0)
     with pytest.raises(BackendError):
         backend.complete("leader", "anything")
+
+
+def test_scripted_runs_load_no_network_stack():
+    code = ("import sys\n"
+            "import brainstem.harness\n"
+            "from brainstem.backends import ScriptedBackend\n"
+            "ScriptedBackend()\n"
+            "print(sorted(m for m in ('urllib.request', 'http.client', 'email',"
+            " 'ssl') if m in sys.modules))\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_remote_backend_from_env_requires_url():

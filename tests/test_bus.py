@@ -43,9 +43,9 @@ def test_high_preempts_pending_low(bus, allocator):
         bus.publish(quick_envelope("alice", L, allocator, text=f"low{i}"))
     bus.publish(quick_envelope("alice", H, allocator, text="urgent"))
     first = bus.next_message("bob")
-    assert first.payload.body["text"] == "urgent"
+    assert first.payload.body["action"] == "urgent"
     rest = drain(bus, "bob")
-    assert [e.payload.body["text"] for e in rest] == [f"low{i}" for i in range(100)]
+    assert [e.payload.body["action"] for e in rest] == [f"low{i}" for i in range(100)]
 
 
 def test_unregistered_sender_rejected(bus, allocator):
@@ -64,8 +64,8 @@ def test_fifo_within_channel(bus, allocator):
     b = quick_envelope("alice", H, allocator, text="b")
     bus.publish(a)
     bus.publish(b)
-    assert bus.next_message("bob").payload.body["text"] == "a"
-    assert bus.next_message("bob").payload.body["text"] == "b"
+    assert bus.next_message("bob").payload.body["action"] == "a"
+    assert bus.next_message("bob").payload.body["action"] == "b"
 
 
 def test_priority_order_across_channels(bus, allocator):
@@ -73,7 +73,7 @@ def test_priority_order_across_channels(bus, allocator):
     bus.publish(quick_envelope("alice", L, allocator, text="l1"))
     bus.publish(quick_envelope("alice", L, allocator, text="l2"))
     bus.publish(quick_envelope("alice", H, allocator, text="h1"))
-    texts = [e.payload.body["text"] for e in drain(bus, "bob")]
+    texts = [e.payload.body["action"] for e in drain(bus, "bob")]
     assert texts == ["h1", "l1", "l2"]
 
 
@@ -86,10 +86,10 @@ def test_high_arriving_mid_drain_preempts(bus, allocator):
     bus.subscribe("bob", {H, L})
     bus.publish(quick_envelope("alice", L, allocator, text="l1"))
     bus.publish(quick_envelope("alice", L, allocator, text="l2"))
-    assert bus.next_message("bob").payload.body["text"] == "l1"
+    assert bus.next_message("bob").payload.body["action"] == "l1"
     bus.publish(quick_envelope("alice", H, allocator, text="h1"))
-    assert bus.next_message("bob").payload.body["text"] == "h1"
-    assert bus.next_message("bob").payload.body["text"] == "l2"
+    assert bus.next_message("bob").payload.body["action"] == "h1"
+    assert bus.next_message("bob").payload.body["action"] == "l2"
 
 
 def test_exactly_once_per_subscriber(bus, allocator):
@@ -110,7 +110,7 @@ def test_reassignment_picks_up_new_channel(bus, allocator):
     # messages already queued on a newly joined channel are not replayed
     assert bus.next_message("bob") is None
     bus.publish(quick_envelope("alice", H, allocator, text="after"))
-    assert bus.next_message("bob").payload.body["text"] == "after"
+    assert bus.next_message("bob").payload.body["action"] == "after"
 
 
 def test_reassign_to_empty_receives_nothing(bus, allocator):

@@ -138,7 +138,8 @@ def test_bus_carries_one_message_per_event(monkeypatch):
     audit = runtime.bus.audit_log()
     assert [op for op, _, _ in audit] == ["publish"] * len(audit)
     kinds = [envelope.payload.kind for _, _, envelope in audit]
-    assert PayloadKind.HIGH_LEVEL_COMMAND not in kinds
+    assert set(kinds) == {PayloadKind.SUBTASK_ASSIGN, PayloadKind.AGENT_RESPONSE,
+                          PayloadKind.ACTION_FEEDBACK}
     assert kinds.count(PayloadKind.SUBTASK_ASSIGN) == runtime.replans
     assert kinds.count(PayloadKind.AGENT_RESPONSE) == runtime.collaborations
     feedback = [envelope for _, _, envelope in audit

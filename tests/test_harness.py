@@ -98,7 +98,7 @@ def test_config_validation():
     ("trials_per_eval", 2.5), ("trials_per_eval", "3"),
     ("trials_per_eval", True), ("evals", True), ("evals", 2.0),
     ("base_seed", 1.5), ("base_seed", "0"), ("base_seed", False),
-    ("tasks", (True,)), ("tasks", [3.0]),
+    ("tasks", (True,)), ("tasks", [3.0]), ("tasks", 3),
 ])
 def test_config_refuses_mistyped_counts_seeds_and_task_ids(field, value):
     with pytest.raises(ConfigError):

@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import random
 
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from brainstem.errors import (CanonicalizationError, ChecksumMismatch, ParseError,
                               SchemaViolation)
 from brainstem.protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
-                                PayloadKind, canonicalize, compute_checksum,
+                                PayloadKind, canonicalize,
+                                collaboration_decision_problems, compute_checksum,
                                 decode_envelope, decomposition_plan_problems,
                                 make_envelope,
                                 serialize_envelope, validate_header, validate_schema)
@@ -50,24 +53,26 @@ def test_single_bit_flip_changes_checksum():
 
 def test_canonicalize_sorts_keys():
     h = header()
-    a = canonicalize(h, Payload(PayloadKind.HIGH_LEVEL_COMMAND,
-                                {"goal": "x", "sensors": {"b": 1, "a": 2}}))
-    b = canonicalize(h, Payload(PayloadKind.HIGH_LEVEL_COMMAND,
-                                {"sensors": {"a": 2, "b": 1}, "goal": "x"}))
+    a = canonicalize(h, Payload(PayloadKind.SUBTASK_ASSIGN, {
+        "difficulty": "low",
+        "subtasks": [{"subtask_id": "ST1", "assigned_worker": "Worker_1"}]}))
+    b = canonicalize(h, Payload(PayloadKind.SUBTASK_ASSIGN, {
+        "subtasks": [{"assigned_worker": "Worker_1", "subtask_id": "ST1"}],
+        "difficulty": "low"}))
     assert a == b
 
 
 def test_canonicalize_rejects_nan():
     with pytest.raises(CanonicalizationError):
-        canonicalize(header(), Payload(PayloadKind.MOTION_PRIMITIVE,
-                                       {"primitive": "p", "values": [float("nan")]}))
+        canonicalize(header(), Payload(PayloadKind.HTN_MEMORY,
+                                       {"vector": [float("nan")], "tick": 0}))
     with pytest.raises(CanonicalizationError):
-        canonicalize(header(), Payload(PayloadKind.MOTION_PRIMITIVE,
-                                       {"primitive": "p", "values": [float("inf")]}))
+        canonicalize(header(), Payload(PayloadKind.HTN_MEMORY,
+                                       {"vector": [float("inf")], "tick": 0}))
 
 
 def test_canonicalize_deterministic():
-    payload = Payload(PayloadKind.INTERMEDIATE_TEXT, {"text": ""})
+    payload = Payload(PayloadKind.ACTION_FEEDBACK, {"action": "désk", "success": True})
     assert canonicalize(header(), payload) == canonicalize(header(), payload)
 
 
@@ -75,10 +80,11 @@ def test_canonicalize_deterministic():
 
 def test_example_message_round_trips():
     h = header()
-    payload = Payload(PayloadKind.HIGH_LEVEL_COMMAND, {
-        "goal": "inspect_zone_B3",
-        "sensors": {"camera": "object_detected", "lidar": "clear"},
-        "feedback": None,
+    payload = Payload(PayloadKind.ACTION_FEEDBACK, {
+        "action": "inspect_zone_B3",
+        "success": False,
+        "error": "object_detected",
+        "tick": 12,
     })
     wire = serialize_envelope(make_envelope(h, payload,
                                             LogIdAllocator(start=24890)))
@@ -87,7 +93,7 @@ def test_example_message_round_trips():
     assert doc["header"]["timestamp"] == "2025-05-19T14:23:01Z"
     assert doc["header"]["agent_id"] == "robot_03"
     assert doc["header"]["importance"] == "HIGH"
-    assert doc["payload"]["body"]["goal"] == "inspect_zone_B3"
+    assert doc["payload"]["body"]["action"] == "inspect_zone_B3"
     assert doc["log_id"] == "MSG_24890"
     decoded = decode_envelope(wire)
     assert decoded.header == h
@@ -107,13 +113,13 @@ def test_round_trip_random_envelopes():
 def test_invalid_importance_rejected_before_encoding():
     bad = MessageHeader("2025-05-19T14:23:01Z", "robot_03", "URGENT")
     with pytest.raises(SchemaViolation):
-        make_envelope(bad, Payload(PayloadKind.INTERMEDIATE_TEXT, {"text": "x"}),
+        make_envelope(bad, Payload(PayloadKind.AGENT_RESPONSE, {"response": "x"}),
                       LogIdAllocator())
 
 
 def test_decode_rejects_zeroed_checksum():
     wire = serialize_envelope(make_envelope(
-        header(), Payload(PayloadKind.INTERMEDIATE_TEXT, {"text": "hello"}),
+        header(), Payload(PayloadKind.AGENT_RESPONSE, {"response": "hello"}),
         LogIdAllocator()))
     doc = json.loads(wire)
     assert doc["checksum"] != "00000000"
@@ -135,10 +141,10 @@ def test_decode_rejects_garbage():
 def test_decode_rejects_repeated_key():
     # json would keep the last "payload", which alone the checksum covers
     wire = serialize_envelope(make_envelope(
-        header(), Payload(PayloadKind.INTERMEDIATE_TEXT, {"text": "hi"}),
+        header(), Payload(PayloadKind.AGENT_RESPONSE, {"response": "hi"}),
         LogIdAllocator()))
-    assert decode_envelope(wire).payload.body == {"text": "hi"}
-    evil = b'"payload":{"kind":"IntermediateText","body":{"text":"EVIL"}},'
+    assert decode_envelope(wire).payload.body == {"response": "hi"}
+    evil = b'"payload":{"kind":"AgentResponse","body":{"response":"EVIL"}},'
     tampered = wire.replace(b'"payload":', evil + b'"payload":', 1)
     with pytest.raises(ParseError, match="repeated key 'payload'"):
         decode_envelope(tampered)
@@ -295,10 +301,12 @@ def test_collaboration_schema_flag_must_match_requirement():
     body = {"collaboration_required": False,
             "requirement": [{"request_id": "0001", "worker_id": "Worker_1",
                              "request_detail": "Validate the metrics"}]}
+    assert any("requirement" in p for p in collaboration_decision_problems(body))
+    body["collaboration_required"] = True
+    assert collaboration_decision_problems(body) == []
+    # decisions never travel on the bus: an AgentResponse is a provider result
     with pytest.raises(SchemaViolation):
         validate_schema(PayloadKind.AGENT_RESPONSE, body)
-    body["collaboration_required"] = True
-    assert validate_schema(PayloadKind.AGENT_RESPONSE, body) == body
 
 
 def test_provider_schema_requires_nonempty_response():
@@ -314,13 +322,22 @@ def test_schema_reports_every_problem():
     assert "difficulty" in text and "subtasks" in text and "extra" in text
 
 
-def test_htn_memory_accepts_tree_and_snapshot():
+def test_htn_memory_accepts_snapshot_refuses_tree():
     snapshot = {"vector": [0.1, -0.2], "tick": 12}
     assert validate_schema(PayloadKind.HTN_MEMORY, snapshot) == snapshot
+    # state trees never travel on the bus: HtnMemory is a memory snapshot
     tree = {"next_state": {"state": "s", "score": 0.5, "is_goal": True,
                            "transitions": []}}
-    assert validate_schema(PayloadKind.HTN_MEMORY, tree) == tree
-    bad = {"next_state": {"state": "s", "score": 1.2, "is_goal": True,
-                          "transitions": []}}
     with pytest.raises(SchemaViolation):
-        validate_schema(PayloadKind.HTN_MEMORY, bad)
+        validate_schema(PayloadKind.HTN_MEMORY, tree)
+
+
+def test_every_payload_kind_has_a_producer():
+    # the vocabulary holds only kinds some module of the program stamps
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "brainstem"
+    named = set()
+    for path in package.glob("*.py"):
+        if path.name != "protocol.py":
+            named.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(node, ast.Attribute))
+    assert [kind.name for kind in PayloadKind if kind.name not in named] == []

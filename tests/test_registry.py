@@ -4,8 +4,8 @@ import random
 import pytest
 
 from brainstem.bus import MessageBus
-from brainstem.errors import (DuplicateAssignment, DuplicateId, NotFailed,
-                              SchemaViolation, UnknownWorker)
+from brainstem.errors import (DuplicateAssignment, DuplicateId, IoError,
+                              NotFailed, SchemaViolation, UnknownWorker)
 from brainstem.protocol import Importance, LogIdAllocator
 from brainstem.registry import AgentDescriptor, AgentRegistry, AgentStatus, Role
 from support import quick_envelope
@@ -162,3 +162,21 @@ def test_crash_log_file(tmp_path):
     record = json.loads(lines[0])
     assert record["agent_id"] == "Worker_1"
     assert record["last_message_log_id"] == "MSG_00009"
+
+
+def test_unwritable_crash_log_changes_nothing(tmp_path):
+    path = tmp_path / "crash.log"
+    path.mkdir()  # a directory cannot take the log line
+    reg = AgentRegistry(crash_log_path=str(path))
+    reg.register_agent(worker(1))
+    reg.mark_failed("Worker_1")
+    for _ in range(2):
+        with pytest.raises(IoError):
+            reg.reinitialize("Worker_1", tick=3)
+        assert reg.crash_records() == []
+        assert reg.get("Worker_1").status is AgentStatus.FAILED
+    path.rmdir()
+    reg.reinitialize("Worker_1", tick=3)
+    assert reg.get("Worker_1").status is AgentStatus.ACTIVE
+    assert [r.tick for r in reg.crash_records()] == [3]
+    assert len(path.read_text().splitlines()) == 1
