@@ -21,9 +21,11 @@ subscribes and no message waits in a queue; its audit log is the episode's
 record of them.
 
 The reactive controller still runs on every tick, with zero latent and error
-inputs, although no decision reads its output. It is about nine tenths of an
-episode's time, and it stays until ``perfbench``'s traced runs are bounded for
-a program that much faster. The Bayes filter, the HTN DAG, the latent relay,
+inputs, although no decision reads its output. It is over nine tenths of an
+episode's time (13-16x per pass of the traced grids without it), and it stays
+until ``perfbench``'s traced runs are bounded for a program that much faster:
+without it, ``--trace 1`` needs ~300-360 untraced rounds instead of ~24 and
+takes ~3 minutes instead of ~1. The Bayes filter, the HTN DAG, the latent relay,
 the episodic memory with its broadcast, multimodal fusion and the inspector's
 drift check are library units (``estimator.forward_filter``,
 ``planner.build_htn_dag``, ``pipeline.relay_update``, ``memory.memory_update``,

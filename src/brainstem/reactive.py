@@ -32,6 +32,9 @@ class ReactiveGains:
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and non-negative")
+        for name in ("kp", "kd"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
 
 
 def zero_policy(s_t, a_t, l_t) -> np.ndarray:
@@ -66,44 +69,74 @@ class ReactiveController:
     def __init__(self, dim: int, gains: Optional[ReactiveGains] = None,
                  policy: Optional[Callable] = None,
                  window: int = DEFAULT_VAR_WINDOW):
+        if window < 1:
+            raise ValueError("window must be at least 1")
         self.dim = dim
         self.gains = gains if gains is not None else ReactiveGains()
+        for name in ("kp", "kd"):
+            shape = np.shape(getattr(self.gains, name))
+            if shape not in ((), (dim,)):
+                raise DimensionMismatch(
+                    f"{name} has shape {shape}, expected a scalar or ({dim},)")
         self.policy = policy if policy is not None else zero_policy
+        # each entry is a (2, dim) array: the sample and its square
         self._window: deque = deque(maxlen=window)
         self._prev_e = np.zeros(dim)
-        # running sums make the per-tick std O(dim)
-        self._sum = np.zeros(dim)
-        self._sumsq = np.zeros(dim)
+        # running sum and sum of squares make the per-tick std O(dim)
+        self._sums = np.zeros((2, dim))
 
     def _push(self, s_t: np.ndarray) -> None:
+        entry = np.empty((2, self.dim))
+        entry[0] = s_t
+        np.multiply(s_t, s_t, out=entry[1])
         if len(self._window) == self._window.maxlen:
-            old = self._window[0]
-            self._sum -= old
-            self._sumsq -= old * old
-        self._window.append(s_t)
-        self._sum += s_t
-        self._sumsq += s_t * s_t
+            self._sums -= self._window[0]
+        self._window.append(entry)
+        self._sums += entry
 
-    def _var_term(self) -> np.ndarray:
+    def _var_term(self) -> Optional[np.ndarray]:
+        """var_react's value from the running sums; None below two samples."""
         n = len(self._window)
         if n < 2:
-            return np.zeros(self.dim)
-        mean = self._sum / n
-        variance = np.maximum(self._sumsq / n - mean * mean, 0.0)
-        return -np.sqrt(variance)
+            return None
+        moments = self._sums / n
+        mean, variance = moments[0], moments[1]
+        mean *= mean
+        variance -= mean
+        np.maximum(variance, 0.0, out=variance)
+        np.sqrt(variance, out=variance)
+        return np.negative(variance, out=variance)
 
     def step(self, s_t, a_t, l_t, e_t) -> np.ndarray:
-        """One control step; output clamped per component to +/- u_max."""
+        """One control step; output clamped per component to +/- u_max.
+
+        u = policy + zeta * (pd_control(e_t, prev_e, kp, kd) + sigma * var),
+        accumulated in place in that order. The only reordering is a * b =
+        b * a with at most one NaN operand, which is exact in IEEE arithmetic,
+        so the output is bit for bit that of the composition.
+        """
         s_t = np.asarray(s_t, dtype=float)
         e_t = np.asarray(e_t, dtype=float)
         if s_t.shape != (self.dim,) or e_t.shape != (self.dim,):
             raise DimensionMismatch(
                 f"expected dim {self.dim}, got state {s_t.shape} error {e_t.shape}")
-        if not (np.all(np.isfinite(s_t)) and np.all(np.isfinite(e_t))):
+        if (np.count_nonzero(np.isfinite(s_t)) != self.dim
+                or np.count_nonzero(np.isfinite(e_t)) != self.dim):
             raise DimensionMismatch("reactive inputs must be finite")
+        gains = self.gains
         self._push(s_t)
-        correction = (pd_control(e_t, self._prev_e, self.gains.kp, self.gains.kd)
-                      + self.gains.sigma * self._var_term())
+        u = e_t * gains.kp
+        derivative = e_t - self._prev_e
+        derivative *= gains.kd
+        u += derivative
+        var = self._var_term()
+        if var is None:
+            # the zero variance term still turns -0.0 into +0.0
+            u += gains.sigma * 0.0
+        else:
+            var *= gains.sigma
+            u += var
         self._prev_e = e_t
-        u = self.policy(s_t, a_t, l_t) + self.gains.zeta * correction
-        return np.clip(u, -self.gains.u_max, self.gains.u_max)
+        u *= gains.zeta
+        u = self.policy(s_t, a_t, l_t) + u
+        return u.clip(-gains.u_max, gains.u_max, out=u)

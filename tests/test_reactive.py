@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,98 @@ def test_gains_must_be_nonnegative():
 
 def test_zero_policy_shape():
     assert np.array_equal(zero_policy(np.ones(4), None, None), np.zeros(4))
+
+
+def test_window_below_one_rejected():
+    for window in (0, -3):
+        with pytest.raises(ValueError):
+            ReactiveController(4, window=window)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   np.array([0.1, np.nan]),
+                                   np.array([0.1, -np.inf])])
+def test_gains_kp_kd_must_be_finite(value):
+    for name in ("kp", "kd"):
+        with pytest.raises(ValueError):
+            ReactiveGains(**{name: value})
+
+
+def test_array_gain_shape_must_match_dim():
+    for name in ("kp", "kd"):
+        for gain in (np.ones(3), np.ones(1), np.ones((4, 1))):
+            with pytest.raises(DimensionMismatch):
+                ReactiveController(4, ReactiveGains(**{name: gain}))
+    ReactiveController(4, ReactiveGains(kp=np.ones(4), kd=np.float64(0.5)))
+
+
+def test_refilled_state_buffer_matches_fresh_arrays():
+    # the window must hold the values pushed, not the caller's buffer
+    gains = ReactiveGains(zeta=1.0, sigma=1.0, kp=0.0, kd=0.0, u_max=100.0)
+    refilled = ReactiveController(1, gains, window=3)
+    fresh = ReactiveController(1, gains, window=3)
+    buffer = np.zeros(1)
+    for value in (1.0, 5.0, 2.0, 9.0, 3.0, 3.0, 3.0):
+        buffer[:] = value
+        assert np.array_equal(
+            refilled.step(buffer, None, None, np.zeros(1)),
+            fresh.step(np.array([value]), None, None, np.zeros(1)))
+
+def _golden_vector(rng, dim):
+    kind = int(rng.integers(6))
+    if kind == 0:
+        return np.zeros(dim)
+    if kind == 1:
+        return np.full(dim, -0.0)
+    vector = rng.standard_normal(dim) * float(rng.choice([0.01, 1.0, 5.0]))
+    if kind == 2:
+        vector[rng.random(dim) < 0.5] = 0.0
+        vector[rng.random(dim) < 0.5] = -0.0
+    if kind == 3:
+        return vector.tolist()
+    return vector
+
+
+def _golden_gain(rng, dim):
+    pick = int(rng.integers(4))
+    if pick == 0:
+        return 0.0
+    if pick == 1:
+        return float(rng.uniform(0.0, 2.0))
+    gain = rng.uniform(-0.5, 2.0, dim)
+    gain[rng.random(dim) < 0.2] = -0.0
+    return gain
+
+
+def test_controller_output_bytes_match_golden_digest():
+    """Any bit of drift in the controller's output fails this test.
+
+    The digest was taken from the composed reference implementation (the
+    pd_control + var_term + policy arithmetic with fresh arrays per term).
+    The stream covers dims 1-20, windows 1-20, scalar and per-component
+    gains, zero and -0.0 inputs, and both policies. The custom policy uses
+    only exactly rounded operations, so the digest does not depend on libm.
+    """
+    rng = np.random.default_rng(20261018)
+    digest = hashlib.sha256()
+    steps = 0
+    while steps < 6000:
+        dim = int(rng.integers(1, 21))
+        window = int(rng.integers(1, 21))
+        gains = ReactiveGains(
+            zeta=float(rng.choice([0.0, -0.0, 0.5, float(rng.uniform(0, 3))])),
+            sigma=float(rng.choice([0.0, -0.0, 0.3, float(rng.uniform(0, 3))])),
+            kp=_golden_gain(rng, dim), kd=_golden_gain(rng, dim),
+            u_max=float(rng.choice([0.05, 1.0, 1e3])))
+        custom = bool(rng.integers(2))
+        policy = (lambda s, a, l: 0.25 * s - a) if custom else zero_policy
+        controller = ReactiveController(dim, gains, policy, window=window)
+        for _ in range(int(rng.integers(1, 3 * window + 4))):
+            action = np.asarray(_golden_vector(rng, dim)) if custom else None
+            u = controller.step(_golden_vector(rng, dim), action, None,
+                                _golden_vector(rng, dim))
+            digest.update(u.tobytes())
+            steps += 1
+    assert steps == 6030
+    assert digest.hexdigest() == (
+        "5355448cfda0263804bd579ae27616266f50b8b6ce13638c6130c5b4a396f08b")
