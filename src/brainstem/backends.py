@@ -125,37 +125,23 @@ PROVIDER_RESPONSES = {
 SELF_SUFFICIENT = {"collaboration_required": False, "requirement": []}
 
 
+_SCRIPTS = {"leader": LEADER_PLANS, "worker": WORKER_REFLECTIONS,
+            "provider": PROVIDER_RESPONSES}
+
+
 class ScriptedBackend:
     """Deterministic (role, key) -> canned response table.
 
     Unknown leader missions fall back to a generic single-subtask medium plan
     with no action annotation; the episode's tree-search selector picks every
     action either way. Unknown worker keys reflect as self-sufficient;
-    unknown provider keys return a deterministic completion note. Set ``strict=True`` to turn missing entries into BackendError.
+    unknown provider keys return a deterministic completion note.
     """
 
-    def __init__(self, table: Optional[Mapping] = None, strict: bool = False):
-        self._table = {
-            "leader": dict(LEADER_PLANS),
-            "worker": dict(WORKER_REFLECTIONS),
-            "provider": dict(PROVIDER_RESPONSES),
-        }
-        if table:
-            for role, entries in table.items():
-                self._table.setdefault(role, {}).update(entries)
-        self.strict = strict
-
-    @classmethod
-    def from_config(cls, path: str, strict: bool = False) -> "ScriptedBackend":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls(json.load(handle), strict=strict)
-
     def complete(self, role: str, key: str) -> str:
-        entries = self._table.get(role, {})
+        entries = _SCRIPTS.get(role, {})
         if key in entries:
             value = entries[key]
-        elif self.strict:
-            raise BackendError(f"no scripted entry for ({role!r}, {key!r})")
         elif role == "leader":
             value = _plan("medium", {
                 "subtask_id": "ST1",

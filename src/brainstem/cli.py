@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .episode import MODES
+from .episode import MODES, EpisodeConfig
 from .errors import BrainstemError, ConfigError, IoError, SchemaViolation
 from .harness import (BACKENDS, BenchConfig, EvalBatch, aggregate, emit_report,
                       reference_aggregates, run_bench)
@@ -61,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--backend", default="scripted",
                        choices=BACKENDS,
                        help="completion backend (remote reads BRAINSTEM_* env)")
-    run_p.add_argument("--ratios", type=_parse_ratios, default=(1, 100, 1000),
+    run_p.add_argument("--ratios", type=_parse_ratios,
+                       default=(1, EpisodeConfig.memory_period,
+                                EpisodeConfig.deliberative_period),
                        help="reactive,memory,deliberative periods in ticks")
     run_p.add_argument("--seconds-per-tick", type=float, default=None,
                        help="bind the virtual clock to wall time (slow!)")

@@ -50,8 +50,8 @@ class BenchConfig:
     evals: int = 8
     base_seed: int = 0
     backend: str = "scripted"
-    memory_period: int = 100
-    deliberative_period: int = 1000
+    memory_period: int = EpisodeConfig.memory_period
+    deliberative_period: int = EpisodeConfig.deliberative_period
     seconds_per_tick: Optional[float] = None
     out_dir: Optional[str] = None
 

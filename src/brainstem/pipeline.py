@@ -43,8 +43,9 @@ class RateConfig:
 
     def __post_init__(self):
         for name in ("memory_period", "deliberative_period"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 class RelayMap:
@@ -97,8 +98,7 @@ class ReviewVerdict:
     decision: ReviewDecision
 
 
-def state_review(expected, observed,
-                 threshold: float = REVIEW_THRESHOLD) -> ReviewVerdict:
+def state_review(expected, observed) -> ReviewVerdict:
     """Expected vs observed embeddings: large drift demands a replan."""
     expected = np.asarray(expected, dtype=float)
     observed = np.asarray(observed, dtype=float)
@@ -106,7 +106,7 @@ def state_review(expected, observed,
         raise DimensionMismatch(
             f"review inputs disagree: {expected.shape} vs {observed.shape}")
     drift = float(np.linalg.norm(expected - observed))
-    decision = (ReviewDecision.REPLAN if drift > threshold
+    decision = (ReviewDecision.REPLAN if drift > REVIEW_THRESHOLD
                 else ReviewDecision.KEEP)
     return ReviewVerdict(drift, decision)
 

@@ -20,7 +20,7 @@ from .errors import CycleDetected, EmptyActionSet, SchemaViolation, UnknownActio
 
 MAX_TREE_DEPTH = 5
 DISCOUNT = 0.9
-DEFAULT_SCORE_WEIGHTS = (0.5, 0.2, 0.2, 0.1)  # goal, transition, safety, resource
+SCORE_WEIGHTS = (0.5, 0.2, 0.2, 0.1)  # goal, transition, safety, resource
 NOOP_ACTION = "noop"
 STEP_COST = 0.1  # resource cost of each tree layer below the root
 
@@ -200,26 +200,20 @@ def _clamp01(value: float) -> float:
     return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
 
-def score_state(state, goal, safety_flags: Sequence[str] = (),
-                resource_cost: float = 0.0, *,
-                goal_proximity: Optional[float] = None,
-                transition_possibility: float = 1.0,
-                weights: Sequence[float] = DEFAULT_SCORE_WEIGHTS) -> float:
+def score_state(goal_proximity: float, transition_possibility: float,
+                resource_cost: float) -> float:
     """Weighted 0-1 score over the four planning criteria.
 
-    ``goal_proximity`` defaults to exact-match (1.0 when state equals goal,
-    else 0.0); graded callers pass their own. Raised safety flags zero the
-    safety factor. ``resource_cost`` of 0 means full efficiency.
+    No declared state is unsafe, so the safety factor is always 1.0.
+    ``resource_cost`` of 0 means full efficiency.
     """
-    if goal_proximity is None:
-        goal_proximity = 1.0 if state == goal else 0.0
     factors = (
         _clamp01(goal_proximity),
         _clamp01(transition_possibility),
-        0.0 if safety_flags else 1.0,
+        1.0,
         _clamp01(1.0 - resource_cost),
     )
-    raw = math.fsum(w * f for w, f in zip(weights, factors))
+    raw = math.fsum(w * f for w, f in zip(SCORE_WEIGHTS, factors))
     return _clamp01(raw)
 
 
@@ -233,13 +227,17 @@ class TransitionModel:
 
     ``transitions`` maps a state label to (action, probability, next state)
     outcome triples; probabilities are per action and sum to 1 within one
-    action. ``proximity`` grades distance to goal in [0, 1].
+    action. ``proximity`` grades distance to goal in [0, 1] by
+    :func:`hop_proximity`.
     """
 
     transitions: Mapping[str, Sequence[tuple]]
     goal_states: frozenset
-    proximity: Mapping[str, float] = field(default_factory=dict)
-    unsafe_states: frozenset = frozenset()
+    proximity: Mapping[str, float] = field(init=False)
+
+    def __post_init__(self):
+        self.goal_states = frozenset(self.goal_states)
+        self.proximity = hop_proximity(self.transitions, self.goal_states)
 
     def is_goal(self, state: str) -> bool:
         return state in self.goal_states
@@ -277,9 +275,9 @@ def generate_state_tree(task_desc: str, current_state: str,
                         exclude_actions: Iterable[str] = ()) -> StateTree:
     """Expand the reachable state tree from ``current_state``.
 
-    Expansion follows the scenario's declared transition model. Unsafe
-    branches and unavailable actions are pruned before scoring; the returned
-    tree always passes :func:`validate_state_tree`.
+    Expansion follows the scenario's declared transition model. Unavailable
+    actions are pruned before scoring; the returned tree always passes
+    :func:`validate_state_tree`.
     """
     if not available_actions:
         raise EmptyActionSet(f"no actions available for {task_desc!r}")
@@ -294,19 +292,14 @@ def generate_state_tree(task_desc: str, current_state: str,
         is_goal = model.is_goal(state)
         node = StateNode(
             state=state,
-            score=score_state(
-                state, None,
-                safety_flags=("unsafe",) if state in model.unsafe_states else (),
-                resource_cost=(layer - 1) * STEP_COST,
-                goal_proximity=model.proximity_of(state),
-                transition_possibility=inbound_prob,
-            ),
+            score=score_state(model.proximity_of(state), inbound_prob,
+                              (layer - 1) * STEP_COST),
             is_goal=is_goal,
         )
         if is_goal or layer >= max_depth:
             return node
         outcomes = [(a, p, nxt) for (a, p, nxt) in model.transitions.get(state, ())
-                    if a in usable and nxt not in model.unsafe_states]
+                    if a in usable]
         if not outcomes:
             return node
         # joint branch probability under a uniform prior over candidate actions,
@@ -326,17 +319,17 @@ def generate_state_tree(task_desc: str, current_state: str,
 # action selection (discounted expected-value backup)
 # ---------------------------------------------------------------------------
 
-def subtree_value(node: StateNode, gamma: float = DISCOUNT) -> float:
-    """V(node) = score for leaves/goals, else score + gamma * E[V(child)]."""
+def subtree_value(node: StateNode) -> float:
+    """V(node) = score for leaves/goals, else score + DISCOUNT * E[V(child)]."""
     if node.is_goal or not node.transitions:
         return node.score
-    expected = sum(t.probability * subtree_value(t.next_state, gamma)
+    expected = sum(t.probability * subtree_value(t.next_state)
                    for t in node.transitions)
-    return node.score + gamma * expected
+    return node.score + DISCOUNT * expected
 
 
-def select_action(tree: StateTree, available_actions: Sequence[str],
-                  gamma: float = DISCOUNT) -> ActionChoice:
+def select_action(tree: StateTree,
+                  available_actions: Sequence[str]) -> ActionChoice:
     """Pick the root action with the highest expected subtree value.
 
     Ties break toward the lexicographically smallest action name. A goal
@@ -350,7 +343,7 @@ def select_action(tree: StateTree, available_actions: Sequence[str],
         raise EmptyActionSet(f"root state {root.state!r} has no transitions")
     values: dict = {}
     for tr in root.transitions:
-        q = tr.probability * subtree_value(tr.next_state, gamma)
+        q = tr.probability * subtree_value(tr.next_state)
         values[tr.action] = values.get(tr.action, 0.0) + q
     best = max(values.values())
     selected = min(a for a, v in values.items() if v == best)
@@ -360,7 +353,7 @@ def select_action(tree: StateTree, available_actions: Sequence[str],
     return ActionChoice(
         selected,
         f"highest expected value {best:.6f} under discounted backup "
-        f"(gamma={gamma})")
+        f"(gamma={DISCOUNT})")
 
 
 # ---------------------------------------------------------------------------

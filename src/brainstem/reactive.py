@@ -136,7 +136,8 @@ class ReactiveController:
         else:
             var *= gains.sigma
             u += var
-        self._prev_e = e_t
+        # a copy: a caller may refill e_t in place before the next step
+        np.copyto(self._prev_e, e_t)
         u *= gains.zeta
         u = self.policy(s_t, a_t, l_t) + u
         return u.clip(-gains.u_max, gains.u_max, out=u)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional
 
 from .errors import UnknownAction, UnknownTask
-from .planner import TransitionModel, hop_proximity
+from .planner import TransitionModel
 
 TICKS_PER_SECOND = 100
 DELETION_TICK = 60 * TICKS_PER_SECOND  # "dynamic deletion" fires at 60 s
@@ -40,7 +40,6 @@ class WorldState:
     containers: dict = field(default_factory=dict)   # id -> {"open": bool}
     gripper: dict = field(default_factory=lambda: {"holding": None,
                                                    "location": "home"})
-    viewpoint: str = "front"
     marks: set = field(default_factory=set)
     tick: int = 0
     fired_events: set = field(default_factory=set)
@@ -50,7 +49,6 @@ class WorldState:
             objects={k: replace(v) for k, v in self.objects.items()},
             containers={k: dict(v) for k, v in self.containers.items()},
             gripper=dict(self.gripper),
-            viewpoint=self.viewpoint,
             marks=set(self.marks),
             tick=self.tick,
             fired_events=set(self.fired_events),
@@ -228,15 +226,6 @@ def _prob(p):
     return lambda _world: p
 
 
-def _model(transitions, goals):
-    goals = frozenset(goals)
-    return TransitionModel(
-        transitions=transitions,
-        goal_states=goals,
-        proximity=hop_proximity(transitions, goals),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the eight tasks
 # ---------------------------------------------------------------------------
@@ -267,7 +256,7 @@ def _task_1(seed: int):
                                    "cabinet already open", do_open, _always),
         "grasp cube": ActionRule(250, 25, pre_grasp, do_grasp, _prob(0.93)),
     }
-    model = _model({
+    model = TransitionModel({
         "start": [("open cabinet", 1.0, "cabinet_open")],
         "cabinet_open": [("grasp cube", 0.93, "holding_cube"),
                          ("grasp cube", 0.07, "cabinet_open")],
@@ -318,7 +307,7 @@ def _task_2(seed: int):
         "release": ActionRule(150, 15, lambda w: None if w.holding() else
                               "nothing held", do_release, _always),
     }
-    model = _model({
+    model = TransitionModel({
         "start": [("grasp blue cube", 0.9, "holding_blue"),
                   ("grasp blue cube", 0.1, "start"),
                   ("grasp red cube", 1.0, "holding_wrong"),
@@ -356,7 +345,7 @@ def _task_3(seed: int):
                            "cube_blue" else "blue cube not in gripper",
                            do_lift, _prob(0.97)),
     }
-    model = _model({
+    model = TransitionModel({
         "holding": [("lift", 0.97, "lifted"), ("lift", 0.03, "holding")],
     }, {"lifted"})
 
@@ -397,7 +386,7 @@ def _task_4(seed: int):
 
     rules = {f"plug {p}": plug(p) for p in ("port_1", "port_2", "port_3")}
     third = 1.0 / 3.0
-    model = _model({
+    model = TransitionModel({
         "at_ports": [(f"plug {p}", third, "charger_plugged")
                      for p in ("port_1", "port_2", "port_3")] +
                     [(f"plug {p}", 1.0 - third, "at_ports")
@@ -437,7 +426,7 @@ def _task_5(seed: int):
                                  do_grasp, _prob(0.6)),
         "nudge objects": ActionRule(300, 30, _ok, lambda w: None, _always),
     }
-    model = _model({
+    model = TransitionModel({
         "start": [("search shelf", 1.0, "book_located")],
         "book_located": [("grasp book", 0.6, "holding_book"),
                          ("grasp book", 0.4, "book_located"),
@@ -518,7 +507,7 @@ def _task_6(seed: int):
     rules["deliver apple"] = ActionRule(
         600, 60, lambda w: None if w.holding() == "apple_1"
         else "apple not in gripper", do_deliver, _always)
-    model = _model({
+    model = TransitionModel({
         "searching": [("explore room", 1.0, "apple_located")],
         "apple_located": [("approach apple", 1.0, "near_apple")],
         "near_apple": [("look closely", 1.0, "apple_in_view")],
@@ -561,7 +550,6 @@ def _task_7(seed: int):
 
     def look(direction):
         def effect(w):
-            w.viewpoint = direction
             w.objects["apple_1"].occluded = direction != "left"
         return effect
 
@@ -587,7 +575,7 @@ def _task_7(seed: int):
                                       look("right"), _always),
         "grasp apple": ActionRule(500, 45, pre_grasp, do_grasp, _prob(0.9)),
     }
-    model = _model({
+    model = TransitionModel({
         "searching": [("approach shelf", 1.0, "at_shelf")],
         "at_shelf": [("look from left", 1.0, "apple_visible"),
                      ("look from right", 1.0, "at_shelf")],
@@ -620,7 +608,7 @@ def _task_8(seed: int):
     # 60 s deletion: only the fast tail beats the perturbation window
     rules = _apple_fetch_rules(((3000, 190), (1500, 128), (1000, 100),
                                 (900, 82)), grasp_p=0.95)
-    model = _model({
+    model = TransitionModel({
         "searching": [("explore room", 1.0, "apple_located")],
         "apple_located": [("approach apple", 1.0, "near_apple")],
         "near_apple": [("look closely", 1.0, "apple_in_view")],

@@ -229,11 +229,6 @@ def test_unknown_mission_falls_back_to_generic_plan():
     assert "action" not in plan.subtasks[0]
 
 
-def test_strict_backend_raises_on_missing_entry():
-    with pytest.raises(BackendError):
-        ScriptedBackend(strict=True).complete("leader", "juggle five balls")
-
-
 def test_scripted_backend_deterministic():
     backend = ScriptedBackend()
     assert backend.complete("leader", "grab cube from cabinet") == \
@@ -276,9 +271,12 @@ def test_provider_contract_example():
 
 
 def test_provider_empty_response_rejected():
-    backend = ScriptedBackend({"provider": {"bad": {"response": ""}}})
+    class EmptyReply:
+        def complete(self, role, key):
+            return json.dumps({"response": ""})
+
     with pytest.raises(SchemaViolation):
-        provider_execute({"request_detail": "bad"}, backend)
+        provider_execute({"request_detail": "bad"}, EmptyReply())
 
 
 def test_provider_deterministic():
@@ -324,16 +322,3 @@ def test_malformed_backend_json_is_schema_violation():
 
     with pytest.raises(SchemaViolation):
         plan_mission("anything", Garbage())
-
-
-def test_scripted_backend_loads_config_file(tmp_path):
-    path = tmp_path / "script.json"
-    path.write_text(json.dumps({
-        "leader": {"polish the floor": {"difficulty": "low", "subtasks": []}},
-    }))
-    backend = ScriptedBackend.from_config(str(path))
-    doc = json.loads(backend.complete("leader", "polish the floor"))
-    assert doc["difficulty"] == "low"
-    # defaults still present underneath the overlay
-    doc = json.loads(backend.complete("leader", "walk to the desk"))
-    assert doc["difficulty"] == "low"

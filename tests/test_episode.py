@@ -68,9 +68,15 @@ def test_plan_with_broken_dependencies_rejected(index, depends_on):
     plan = json.loads(ScriptedBackend().complete("leader",
                                                  "find and fetch the apple"))
     plan["subtasks"][index]["depends_on"] = depends_on
-    backend = ScriptedBackend({"leader": {"find and fetch the apple": plan}})
+
+    class BrokenPlan(ScriptedBackend):
+        def complete(self, role, key):
+            if role == "leader":
+                return json.dumps(plan)
+            return super().complete(role, key)
+
     with pytest.raises(SchemaViolation):
-        run_trial(6, 0, backend=backend)
+        run_trial(6, 0, backend=BrokenPlan())
 
 
 def test_occlusion_task_uses_viewpoint_path():

@@ -170,5 +170,9 @@ def test_deterministic_latent_trajectory():
 
 
 def test_rate_config_validation():
-    with pytest.raises(ValueError):
-        RateConfig(memory_period=0)
+    # at 2.5 memory would fire at ticks 5, 10, ...; at True on every tick
+    for fields in ({"memory_period": 0}, {"memory_period": 2.5},
+                   {"memory_period": True}, {"deliberative_period": 10.0},
+                   {"deliberative_period": False}):
+        with pytest.raises(ValueError):
+            RateConfig(**fields)

@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -10,7 +12,7 @@ from brainstem.errors import (CycleDetected, EmptyActionSet, SchemaViolation,
                               UnknownAction)
 from brainstem.planner import (MAX_TREE_DEPTH, NOOP_ACTION, StateTree,
                                TransitionModel, build_htn_dag,
-                               generate_state_tree, hop_proximity, score_state,
+                               generate_state_tree, score_state,
                                select_action, subtree_value,
                                validate_state_tree)
 from brainstem.simenv import TASK_IDS, load_scenario
@@ -170,21 +172,12 @@ def test_fuzzed_mutations_all_rejected():
 # -- scoring --------------------------------------------------------------
 
 def test_score_goal_state_full_marks():
-    assert score_state("goal", "goal", safety_flags=(), resource_cost=0.0) == 1.0
+    assert score_state(1.0, 1.0, 0.0) == 1.0
 
 
-def test_score_unsafe_drops_safety_weight():
-    value = score_state("goal", "goal", safety_flags=("collision",),
-                        resource_cost=0.0)
-    assert value == pytest.approx(0.8)
-
-
-@given(st.floats(0, 1), st.floats(0, 1), st.booleans(), st.floats(0, 3))
-def test_score_always_in_unit_interval(prox, trans, unsafe, cost):
-    value = score_state("s", "g", safety_flags=("f",) if unsafe else (),
-                        resource_cost=cost, goal_proximity=prox,
-                        transition_possibility=trans)
-    assert 0.0 <= value <= 1.0
+@given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 3))
+def test_score_always_in_unit_interval(prox, trans, cost):
+    assert 0.0 <= score_state(prox, trans, cost) <= 1.0
 
 
 # -- action selection -----------------------------------------------------------
@@ -261,9 +254,8 @@ def toy_model():
         "start_seen": [("advance", 1.0, "mid")],
         "slip": [("advance", 1.0, "mid")],
     }
-    goals = frozenset({"goal"})
-    return TransitionModel(transitions=transitions, goal_states=goals,
-                           proximity=hop_proximity(transitions, goals))
+    return TransitionModel(transitions=transitions,
+                           goal_states=frozenset({"goal"}))
 
 
 def test_generated_tree_matches_exhaustive_expansion():
@@ -285,28 +277,6 @@ def test_generated_tree_matches_exhaustive_expansion():
     assert slip.transitions[0].next_state.transitions == []
 
 
-def test_generated_tree_validates_and_prunes():
-    transitions = {"start": [("advance", 0.7, "ok"), ("advance", 0.3, "danger")]}
-    model = TransitionModel(transitions=transitions,
-                            goal_states=frozenset({"ok"}),
-                            unsafe_states=frozenset({"danger"}))
-    tree = generate_state_tree("toy", "start", ["advance"], model=model)
-    assert [t.next_state.state for t in tree.root.transitions] == ["ok"]
-
-
-def test_pruned_siblings_renormalized_as_the_validator_does():
-    transitions = {"start": [("advance", 0.6, "ok"), ("advance", 0.3, "danger"),
-                             ("advance", 0.1, "ok")]}
-    model = TransitionModel(transitions=transitions,
-                            goal_states=frozenset({"ok"}),
-                            unsafe_states=frozenset({"danger"}))
-    tree = generate_state_tree("toy", "start", ["advance"], model=model)
-    assert [t.probability for t in tree.root.transitions] == [0.6 / 0.7,
-                                                              0.1 / 0.7]
-    doc = tree.to_doc()
-    assert validate_state_tree(doc, ["advance"]).to_doc() == doc
-
-
 def test_goal_root_yields_single_node():
     model = toy_model()
     tree = generate_state_tree("toy", "goal", ["advance"], model=model)
@@ -314,8 +284,6 @@ def test_goal_root_yields_single_node():
 
 
 def test_depth_six_backend_output_rejected():
-    import json
-
     doc = leaf("s6", 0.5, True)
     for i in range(5, 0, -1):
         doc = {"state": f"s{i}", "score": 0.5, "is_goal": False,
@@ -365,6 +333,39 @@ def test_generator_agrees_with_validator_on_every_scenario():
                         assert validate_state_tree(doc, vocab).to_doc() == doc
                         cases += 1
     assert cases == 2135
+
+
+PLANNER_GOLDEN_DIGEST = \
+    "a232eec37a4decfecd63b44fb57641a1ec94c09e7117cdf2e187755a14cf1376"
+
+
+def test_trees_and_choices_match_golden_digest():
+    # pins scoring, expansion and selection bit for bit: every state of every
+    # declared model, every excluded-action subset, depths 1/2/3/5, seeds 0-1
+    entries = []
+    for seed in (0, 1):
+        for task_id in TASK_IDS:
+            scenario, _ = load_scenario(task_id, seed)
+            vocab = scenario.action_vocab
+            for state in model_states(scenario.model):
+                for k in range(len(vocab) + 1):
+                    for excluded in itertools.combinations(vocab, k):
+                        for depth in (1, 2, 3, 5):
+                            try:
+                                tree = generate_state_tree(
+                                    scenario.mission, state, vocab,
+                                    model=scenario.model, max_depth=depth,
+                                    exclude_actions=excluded)
+                                choice = select_action(tree, vocab)
+                            except EmptyActionSet as exc:
+                                entries.append(str(exc))
+                                continue
+                            entries.append([tree.to_doc(),
+                                            choice.selected_action,
+                                            choice.reason])
+    assert len(entries) == 3648
+    text = json.dumps(entries, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PLANNER_GOLDEN_DIGEST
 
 
 # -- DAG compilation ---------------------------------------------------------------
@@ -427,8 +428,6 @@ def test_subtree_value_of_leaf_is_score():
 
 
 def test_scripted_apple_plan_compiles_to_start_state_dag():
-    import json
-
     from brainstem.backends import ScriptedBackend
 
     plan = json.loads(ScriptedBackend().complete("leader",

@@ -203,6 +203,18 @@ def test_refilled_state_buffer_matches_fresh_arrays():
             refilled.step(buffer, None, None, np.zeros(1)),
             fresh.step(np.array([value]), None, None, np.zeros(1)))
 
+def test_refilled_error_buffer_keeps_its_derivative():
+    # the previous error must be the value passed, not the caller's buffer
+    gains = ReactiveGains(zeta=1.0, sigma=0.0, kp=0.0, kd=1.0, u_max=100.0)
+    controller = ReactiveController(1, gains)
+    buffer = np.zeros(1)
+    outputs = []
+    for value in (0.0, 1.0, 3.0):
+        buffer[:] = value
+        outputs.append(controller.step(np.zeros(1), None, None, buffer)[0])
+    assert outputs == [0.0, 1.0, 2.0]
+
+
 def _golden_vector(rng, dim):
     kind = int(rng.integers(6))
     if kind == 0:
