@@ -9,26 +9,28 @@ fixed action script, and only the reactive loop).
 The tree-search selector over the scenario's declared transition model picks
 every action the full collective takes, and aborts at a dead end. With the
 world's scheduled events and stochastic action results, that decides a trial's
-outcome. The leader plan, worker collaboration, and the replans that state
-review (memory rate, the one drift check) requests on symbol drift all run,
-but change no cell of the seeded grid: the only drift comes from a scheduled
-event (task 8's deletion), after which the symbol is the dead end
-``apple_missing`` and the selector aborts. A replan request is the flag
+outcome. State review (memory rate, the one drift check) compares the world's
+symbol with the one the last plan or success was made against, and requests a
+replan when they differ. The leader plan, worker collaboration and those
+replans all run, but change no cell of the seeded grid: the only drift comes
+from a scheduled event (task 8's deletion), after which the symbol is the dead
+end ``apple_missing`` and the selector aborts. A replan request is the flag
 ``replan_requested``, not a message. The bus carries one message per event:
 each plan (``SubtaskAssign``), each provider response (``AgentResponse``) and
 each finished action (``ActionFeedback``). No agent reads it, so none
 subscribes and no message waits in a queue; its audit log is the episode's
 record of them.
 
-The reactive controller still runs on every tick, with zero latent and error
-inputs, although no decision reads its output. It is over nine tenths of an
-episode's time (13-16x per pass of the traced grids without it), and it stays
-until ``perfbench``'s traced runs are bounded for a program that much faster:
-without it, ``--trace 1`` needs ~300-360 untraced rounds instead of ~24 and
-takes ~3 minutes instead of ~1. The Bayes filter, the HTN DAG, the latent relay,
-the episodic memory with its broadcast, multimodal fusion and the inspector's
-drift check are library units (``estimator.forward_filter``,
-``planner.build_htn_dag``, ``pipeline.relay_update``, ``memory.memory_update``,
+The reactive controller still runs on every tick, with zeros for every input
+but the action's embedding, although no decision reads its output. It is over
+nine tenths of an episode's time (13-16x per pass of the traced grids without
+it), and it stays until ``perfbench``'s traced runs are bounded for a program
+that much faster: without it, ``--trace 1`` needs ~300-360 untraced rounds
+instead of ~24 and takes ~3 minutes instead of ~1. The Bayes filter, the HTN
+DAG, the latent relay, the episodic memory with its broadcast, multimodal
+fusion and the inspector's drift check are library units
+(``estimator.forward_filter``, ``planner.build_htn_dag``,
+``pipeline.relay_update``, ``memory.memory_update``,
 ``agents.fuse_observations``, ``agents.inspect_alignment``) that the episode
 does not call.
 """
@@ -140,12 +142,11 @@ class EpisodeRuntime:
             self.registry.register_agent(
                 AgentDescriptor(worker, Role.WORKER, expertise))
 
-        self.symbol_embedder = HashEmbedder(EMBED_DIM, "symbol")
         self.action_embedder = HashEmbedder(EMBED_DIM, "action")
 
-        # the policy ignores the latent l_t and no estimator feeds the error
-        # term, so the controller gets zeros for both
-        self.latent = self.error = np.zeros(EMBED_DIM)
+        # no decision reads the controller's output, so it gets zeros for its
+        # state, latent and error inputs and only the action is embedded
+        self.zeros = np.zeros(EMBED_DIM)
         self.controller = ReactiveController(
             EMBED_DIM, ReactiveGains(zeta=0.5, sigma=0.3, kp=0.6, kd=0.1),
             policy=lambda s, a, l: 0.2 * a)
@@ -162,11 +163,13 @@ class EpisodeRuntime:
         self.replans = 0
         self.script_index = 0
 
-        self._cached_action_vec = np.zeros(EMBED_DIM)
-        # the embedding of the world's current symbol, and of the symbol
-        # state review compares it against (the last plan's or success's)
-        self.state_vec = self.symbol_embedder.embed(scenario.symbol_of(world))
-        self.tracked_vec = self.state_vec
+        self._cached_action_vec = self.zeros
+        # the world's symbol as of its last event or successful action, and
+        # the symbol state review compares it against (the last plan's or
+        # success's); set only there, not at each review: a failed action can
+        # change the world, and a review that saw it would replan
+        self.state_symbol = scenario.symbol_of(world)
+        self.tracked_symbol = self.state_symbol
 
         # reactive_only: a slowed fixed script, no memory or deliberative loop
         self.reactive_only = self.config.mode == "reactive_only"
@@ -196,7 +199,7 @@ class EpisodeRuntime:
         if self.plan.difficulty == "high":
             self._collaborate()
         self.excluded = set()
-        self.tracked_vec = self.state_vec
+        self.tracked_symbol = self.state_symbol
 
     def _collaborate(self) -> None:
         for subtask in self.plan.subtasks:
@@ -254,9 +257,8 @@ class EpisodeRuntime:
         self._publish(PayloadKind.ACTION_FEEDBACK, feedback, "Worker_3")
         # each mode reads only its own: the script index or the excluded set
         if feedback["success"]:
-            self.state_vec = self.symbol_embedder.embed(
-                self.scenario.symbol_of(self.world))
-            self.tracked_vec = self.state_vec
+            self.state_symbol = self.scenario.symbol_of(self.world)
+            self.tracked_symbol = self.state_symbol
             self.script_index += 1  # fixed script: advance only on success
             self.excluded.clear()  # progress: failed actions back in play
         else:
@@ -271,16 +273,15 @@ class EpisodeRuntime:
             return
         fired = advance_clock(self.scenario, self.world, tick)
         if fired:
-            self.state_vec = self.symbol_embedder.embed(
-                self.scenario.symbol_of(self.world))
+            self.state_symbol = self.scenario.symbol_of(self.world)
         if self.current_action is not None and tick >= self.action_done_at:
             self._finish_action()
         if self.done is not None:
             return
         if self.current_action is None and not self.pending_abort:
             self._next_action()
-        self.controller.step(self.state_vec, self._cached_action_vec,
-                             self.latent, self.error)
+        self.controller.step(self.zeros, self._cached_action_vec,
+                             self.zeros, self.zeros)
 
     def _scripted_next(self) -> None:
         script = self.scenario.reactive_script
@@ -292,8 +293,8 @@ class EpisodeRuntime:
     def _memory_step(self, tick: int) -> None:
         if self.done is not None:
             return
-        verdict = state_review(self.tracked_vec, self.state_vec)
-        if verdict.decision is ReviewDecision.REPLAN:
+        if state_review(self.tracked_symbol,
+                        self.state_symbol) is ReviewDecision.REPLAN:
             self.replan_requested = True
 
     # -- main loop -------------------------------------------------------------

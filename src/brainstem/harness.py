@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Optional, Sequence
 
-from .episode import (EpisodeConfig, Outcome, TrialResult,
+from .episode import (MODES, EpisodeConfig, Outcome, TrialResult,
                       require_positive_ints, run_trial)
 from .errors import ConfigError, EmptyInput, IoError, SchemaViolation
 from .protocol import is_finite_number
@@ -103,6 +103,12 @@ def _row_ok(row: TaskRow) -> bool:
                     for k, n in row.outcomes.items()))
 
 
+def _trial_ok(trial: TrialResult) -> bool:
+    return (all(type(n) is int for n in
+                (trial.task_id, trial.seed, trial.ticks_elapsed))
+            and isinstance(trial.detail, str))
+
+
 @dataclass
 class EvalBatch:
     config_digest: str
@@ -147,14 +153,20 @@ class EvalBatch:
             raise SchemaViolation(f"batch: missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise SchemaViolation(f"batch: {exc}") from None
-        if not isinstance(batch.seeds, list) or not batch.seeds:
-            raise SchemaViolation("batch: seeds must be a non-empty list")
-        if not all(map(_row_ok, batch.rows)) or any(
-                type(t.ticks_elapsed) is not int for t in batch.trials):
+        if not isinstance(batch.seeds, list) or not batch.seeds or any(
+                type(s) is not int for s in batch.seeds):
+            raise SchemaViolation("batch: seeds must be a non-empty list "
+                                  "of ints")
+        if batch.mode not in MODES or not isinstance(batch.config_digest, str):
+            raise SchemaViolation(f"batch: mode must be one of {MODES} and "
+                                  "config_digest a string")
+        if not all(map(_row_ok, batch.rows)) or not all(
+                map(_trial_ok, batch.trials)):
             raise SchemaViolation(
                 "batch: rows need an int task_id, a string category, finite "
                 "eval_percentages, avg and std, and int outcome counts; "
-                "trials need an int ticks_elapsed")
+                "trials need an int task_id, seed and ticks_elapsed and a "
+                "string detail")
         return batch
 
 

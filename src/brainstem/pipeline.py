@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, IoError
 
-REVIEW_THRESHOLD = 0.3
-
 
 @dataclass(frozen=True)
 class LatentState:
@@ -92,23 +90,10 @@ class ReviewDecision(str, Enum):
     REPLAN = "Replan"
 
 
-@dataclass(frozen=True)
-class ReviewVerdict:
-    drift: float
-    decision: ReviewDecision
-
-
-def state_review(expected, observed) -> ReviewVerdict:
-    """Expected vs observed embeddings: large drift demands a replan."""
-    expected = np.asarray(expected, dtype=float)
-    observed = np.asarray(observed, dtype=float)
-    if expected.shape != observed.shape:
-        raise DimensionMismatch(
-            f"review inputs disagree: {expected.shape} vs {observed.shape}")
-    drift = float(np.linalg.norm(expected - observed))
-    decision = (ReviewDecision.REPLAN if drift > REVIEW_THRESHOLD
-                else ReviewDecision.KEEP)
-    return ReviewVerdict(drift, decision)
+def state_review(expected: str, observed: str) -> ReviewDecision:
+    """Expected vs observed world symbol: any change demands a replan."""
+    return (ReviewDecision.REPLAN if observed != expected
+            else ReviewDecision.KEEP)
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,10 @@ def test_batch_round_trips_through_json(tmp_path):
     ("row", "task_id", "3"), ("row", "category", 3),
     ("row", "eval_percentages", [100.0, math.inf]), ("row", "std", None),
     ("row", "avg", True), ("row", "outcomes", {"Success": "1"}),
-    ("trial", "ticks_elapsed", 12.5),
+    ("trial", "ticks_elapsed", 12.5), ("batch", "mode", 5),
+    ("batch", "config_digest", []), ("batch", "seeds", ["a"]),
+    ("batch", "seeds", [True]), ("trial", "seed", "x"),
+    ("trial", "task_id", None), ("trial", "detail", [1]),
 ])
 def test_batch_with_mistyped_field_rejected(where, field, value):
     row = {"task_id": 3, "category": "semantic", "eval_percentages": [100.0],
@@ -132,7 +135,7 @@ def test_batch_with_mistyped_field_rejected(where, field, value):
     doc = {"config_digest": "x", "mode": "full", "seeds": [0],
            "rows": [row], "trials": [trial]}
     EvalBatch.from_doc(doc)
-    {"row": row, "trial": trial}[where][field] = value
+    {"row": row, "trial": trial, "batch": doc}[where][field] = value
     with pytest.raises(SchemaViolation):
         EvalBatch.from_doc(doc)
 

@@ -1,11 +1,12 @@
-"""Every function, method, class and class-level name the package defines is
-referred to.
+"""Every function, method, class, class-level and module-level name the
+package defines is referred to.
 
 Class-level names are the names a class body assigns, such as enum members
-and dataclass fields. A definition counts as referred to when its name is
-loaded, imported or read as an attribute in the package sources, the scripts,
-the benchmark or the tests; a field that is only passed to a constructor is
-not. Dunder names are used by the interpreter and are exempt.
+and dataclass fields; module-level names are the names a module's top level
+assigns, such as constants. A definition counts as referred to when its name
+is loaded, imported or read as an attribute in the package sources, the
+scripts, the benchmark or the tests; a field that is only passed to a
+constructor is not. Dunder names are used by the interpreter and are exempt.
 """
 
 import ast
@@ -22,9 +23,9 @@ def is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def class_level_names(node: ast.ClassDef):
-    """(name, line) of every name the body of class ``node`` assigns."""
-    for stmt in node.body:
+def assigned_names(body: list):
+    """(name, line) of every name the statements ``body`` assign."""
+    for stmt in body:
         if isinstance(stmt, ast.Assign):
             targets = stmt.targets
         elif isinstance(stmt, ast.AnnAssign):
@@ -37,13 +38,15 @@ def class_level_names(node: ast.ClassDef):
 
 
 def definitions(tree):
-    """(name, line) of every function, method, class and class-level name."""
+    """(name, line) of every function, method, class, class-level and
+    module-level name."""
+    yield from assigned_names(tree.body)
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)) and not is_dunder(node.name):
             yield node.name, node.lineno
         if isinstance(node, ast.ClassDef):
-            yield from class_level_names(node)
+            yield from assigned_names(node.body)
 
 
 def references(tree):
@@ -72,12 +75,13 @@ def unreferenced(sources: dict, readers: list) -> dict:
 
 
 def test_checker_flags_an_unreferenced_definition():
-    source = ("class Box:\n    def __init__(self):\n        pass\n"
+    source = ("__all__ = ['Box']\nLIMIT = 3\n"
+              "class Box:\n    def __init__(self):\n        pass\n"
               "    def used(self):\n        pass\n"
               "    def spare(self):\n        pass\n")
     caller = "from box import Box\nBox().used()\n"
     assert unreferenced({"box.py": source}, [source, caller]) == \
-        {"box.py": [("spare", 6)]}
+        {"box.py": [("LIMIT", 2), ("spare", 8)]}
 
 
 def test_checker_flags_an_unread_enum_member_and_field():
