@@ -9,12 +9,15 @@ fixed action script, and only the reactive loop).
 The tree-search selector over the scenario's declared transition model picks
 every action the full collective takes, and aborts at a dead end. With the
 world's scheduled events and stochastic action results, that decides a trial's
-outcome. State review (memory rate, the one drift check) compares the world's
-symbol with the one the last plan or success was made against, and requests a
-replan when they differ. The leader plan, worker collaboration and those
-replans all run, but change no cell of the seeded grid: the only drift comes
-from a scheduled event (task 8's deletion), after which the symbol is the dead
-end ``apple_missing`` and the selector aborts. A replan request is the flag
+outcome. The model also defines success: a trial succeeds once the world's
+symbol is one of its goal states (``simenv.check_success``). Each reader of
+that symbol computes it from the world when it needs it. State review (memory
+rate, the one drift check) compares it with the symbol the last plan or
+success was made against, and requests a replan when they differ. The leader
+plan, worker collaboration and those replans all run, but change no cell of
+the seeded grid: the only drift comes from a scheduled event (task 8's
+deletion), after which the symbol is the dead end ``apple_missing`` and the
+selector aborts. A replan request is the flag
 ``replan_requested``, not a message. The bus carries one message per event:
 each plan (``SubtaskAssign``), each provider response (``AgentResponse``) and
 each finished action (``ActionFeedback``). No agent reads it, so none
@@ -164,12 +167,9 @@ class EpisodeRuntime:
         self.script_index = 0
 
         self._cached_action_vec = self.zeros
-        # the world's symbol as of its last event or successful action, and
-        # the symbol state review compares it against (the last plan's or
-        # success's); set only there, not at each review: a failed action can
-        # change the world, and a review that saw it would replan
-        self.state_symbol = scenario.symbol_of(world)
-        self.tracked_symbol = self.state_symbol
+        # the symbol state review compares the world's against: the last
+        # plan's or successful action's
+        self.tracked_symbol = scenario.symbol_of(world)
 
         # reactive_only: a slowed fixed script, no memory or deliberative loop
         self.reactive_only = self.config.mode == "reactive_only"
@@ -199,7 +199,7 @@ class EpisodeRuntime:
         if self.plan.difficulty == "high":
             self._collaborate()
         self.excluded = set()
-        self.tracked_symbol = self.state_symbol
+        self.tracked_symbol = self.scenario.symbol_of(self.world)
 
     def _collaborate(self) -> None:
         for subtask in self.plan.subtasks:
@@ -257,13 +257,12 @@ class EpisodeRuntime:
         self._publish(PayloadKind.ACTION_FEEDBACK, feedback, "Worker_3")
         # each mode reads only its own: the script index or the excluded set
         if feedback["success"]:
-            self.state_symbol = self.scenario.symbol_of(self.world)
-            self.tracked_symbol = self.state_symbol
+            self.tracked_symbol = self.scenario.symbol_of(self.world)
             self.script_index += 1  # fixed script: advance only on success
             self.excluded.clear()  # progress: failed actions back in play
         else:
             self.excluded.add(action)
-        if check_success(self.world, self.scenario.goal):
+        if check_success(self.scenario, self.world):
             self.done = Outcome.SUCCESS
 
     # -- scheduler hooks ---------------------------------------------------------
@@ -271,9 +270,7 @@ class EpisodeRuntime:
     def _reactive(self, tick: int) -> None:
         if self.done is not None:
             return
-        fired = advance_clock(self.scenario, self.world, tick)
-        if fired:
-            self.state_symbol = self.scenario.symbol_of(self.world)
+        advance_clock(self.scenario, self.world, tick)
         if self.current_action is not None and tick >= self.action_done_at:
             self._finish_action()
         if self.done is not None:
@@ -293,8 +290,8 @@ class EpisodeRuntime:
     def _memory_step(self, tick: int) -> None:
         if self.done is not None:
             return
-        if state_review(self.tracked_symbol,
-                        self.state_symbol) is ReviewDecision.REPLAN:
+        if state_review(self.tracked_symbol, self.scenario.symbol_of(
+                self.world)) is ReviewDecision.REPLAN:
             self.replan_requested = True
 
     # -- main loop -------------------------------------------------------------

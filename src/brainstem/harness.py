@@ -93,19 +93,27 @@ class TaskRow:
     outcomes: dict
 
 
+_OUTCOMES = frozenset(o.value for o in Outcome)
+_DOC_KEYS = frozenset({"config_digest", "mode", "seeds", "rows", "trials"})
+_TRIAL_KEYS = frozenset({"task_id", "seed", "outcome", "ticks_elapsed",
+                         "detail"})
+
+
 def _row_ok(row: TaskRow) -> bool:
-    return (type(row.task_id) is int and isinstance(row.category, str)
+    return (type(row.task_id) is int and row.task_id in TASK_IDS
+            and isinstance(row.category, str)
             and isinstance(row.eval_percentages, list)
             and all(map(is_finite_number,
                         [*row.eval_percentages, row.avg, row.std]))
             and isinstance(row.outcomes, dict)
-            and all(isinstance(k, str) and type(n) is int
+            and all(k in _OUTCOMES and type(n) is int and n >= 0
                     for k, n in row.outcomes.items()))
 
 
 def _trial_ok(trial: TrialResult) -> bool:
     return (all(type(n) is int for n in
                 (trial.task_id, trial.seed, trial.ticks_elapsed))
+            and trial.task_id in TASK_IDS and trial.ticks_elapsed >= 0
             and isinstance(trial.detail, str))
 
 
@@ -153,6 +161,11 @@ class EvalBatch:
             raise SchemaViolation(f"batch: missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise SchemaViolation(f"batch: {exc}") from None
+        extra = set(doc) - _DOC_KEYS
+        for trial in doc["trials"]:
+            extra |= set(trial) - _TRIAL_KEYS
+        if extra:
+            raise SchemaViolation(f"batch: unknown fields {sorted(extra)}")
         if not isinstance(batch.seeds, list) or not batch.seeds or any(
                 type(s) is not int for s in batch.seeds):
             raise SchemaViolation("batch: seeds must be a non-empty list "
@@ -163,10 +176,11 @@ class EvalBatch:
         if not all(map(_row_ok, batch.rows)) or not all(
                 map(_trial_ok, batch.trials)):
             raise SchemaViolation(
-                "batch: rows need an int task_id, a string category, finite "
-                "eval_percentages, avg and std, and int outcome counts; "
-                "trials need an int task_id, seed and ticks_elapsed and a "
-                "string detail")
+                f"batch: rows need a task_id in {TASK_IDS}, a string "
+                "category, finite eval_percentages, avg and std, and "
+                "non-negative int counts keyed by outcome; trials need a "
+                "task_id in that set, an int seed, a non-negative int "
+                "ticks_elapsed and a string detail")
         return batch
 
 

@@ -3,8 +3,9 @@
 No physics: contact failures are stochastic action outcomes, time is virtual
 (100 ticks per virtual second), and perturbations are scheduled events. Each
 scenario declares its true action rules (preconditions, effects, success
-probabilities, durations), a symbolic transition model for the planner, goal
-predicates.
+probabilities, durations), a symbolic transition model for the planner, and a
+symbol function that names the model state a world is in. A trial succeeds
+when that state is one of the model's goal states (:func:`check_success`).
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ class ScenarioSpec:
     task_id: int
     category: str
     mission: str
-    goal: dict
     rules: Mapping[str, ActionRule]
     model: TransitionModel
     symbol_of: Callable             # world -> model state label
@@ -198,16 +198,9 @@ def observe(scenario: ScenarioSpec, world: WorldState) -> Observation:
     )
 
 
-def check_success(world: WorldState, goal: dict) -> bool:
-    if goal["type"] == "holding":
-        return world.holding() == goal["object"]
-    if goal["type"] == "mark":
-        return goal["mark"] in world.marks
-    if goal["type"] == "at":
-        obj = world.objects.get(goal["object"])
-        return (obj is not None and obj.present
-                and obj.location == goal["location"])
-    raise ValueError(f"unknown goal type {goal['type']!r}")
+def check_success(scenario: ScenarioSpec, world: WorldState) -> bool:
+    """True when the world's symbol is a goal state of the scenario's model."""
+    return scenario.model.is_goal(scenario.symbol_of(world))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +262,6 @@ def _task_1(seed: int):
 
     return ScenarioSpec(
         task_id=1, category="physical", mission="grab cube from cabinet",
-        goal={"type": "holding", "object": "cube_1"},
         rules=rules, model=model, symbol_of=symbol,
         reactive_script=("open cabinet", "grasp cube"),
         timeout_ticks=4000, seed=seed,
@@ -323,7 +315,6 @@ def _task_2(seed: int):
 
     return ScenarioSpec(
         task_id=2, category="visual", mission="grab the blue cube",
-        goal={"type": "holding", "object": "cube_blue"},
         rules=rules, model=model, symbol_of=symbol,
         reactive_script=("grasp blue cube",),
         timeout_ticks=6000, seed=seed,
@@ -354,7 +345,6 @@ def _task_3(seed: int):
 
     return ScenarioSpec(
         task_id=3, category="semantic", mission="lift blue cube",
-        goal={"type": "mark", "mark": "lifted"},
         rules=rules, model=model, symbol_of=symbol,
         reactive_script=("lift",),
         timeout_ticks=3000, seed=seed,
@@ -398,7 +388,6 @@ def _task_4(seed: int):
 
     return ScenarioSpec(
         task_id=4, category="correction", mission="try and plug the right charger",
-        goal={"type": "mark", "mark": "plugged"},
         rules=rules, model=model, symbol_of=symbol,
         reactive_script=("plug port_1",),
         timeout_ticks=6000, seed=seed,
@@ -440,14 +429,16 @@ def _task_5(seed: int):
 
     return ScenarioSpec(
         task_id=5, category="ood", mission="grab the harry potter book",
-        goal={"type": "holding", "object": "book_hp"},
         rules=rules, model=model, symbol_of=symbol,
         reactive_script=("grasp book",),  # never searches: stays blind
         timeout_ticks=8000, seed=seed,
     ), world
 
 
-def _apple_fetch_rules(durations, grasp_p):
+def _apple_fetch(durations, grasp_p, miss_p):
+    """(rules, model entries) of the explore-approach-look-grasp chain that
+    tasks 6 and 8 share. ``miss_p``, the model's probability of a failed
+    grasp, is its own literal: ``1 - grasp_p`` is a different float."""
     (explore_d, explore_s), (approach_d, approach_s), (look_d, look_s), \
         (grasp_d, grasp_s) = durations
 
@@ -477,7 +468,7 @@ def _apple_fetch_rules(durations, grasp_p):
         w.gripper["holding"] = "apple_1"
         w.objects["apple_1"].location = "gripper"
 
-    return {
+    rules = {
         "explore room": ActionRule(explore_d, explore_s, _ok,
                                    do_explore, _always),
         "approach apple": ActionRule(approach_d, approach_s,
@@ -491,14 +482,31 @@ def _apple_fetch_rules(durations, grasp_p):
         "grasp apple": ActionRule(grasp_d, grasp_s, pre_grasp,
                                   do_grasp, _prob(grasp_p)),
     }
+    transitions = {
+        "searching": [("explore room", 1.0, "apple_located")],
+        "apple_located": [("approach apple", 1.0, "near_apple")],
+        "near_apple": [("look closely", 1.0, "apple_in_view")],
+        "apple_in_view": [("grasp apple", grasp_p, "holding_apple"),
+                          ("grasp apple", miss_p, "apple_in_view")],
+    }
+    return rules, transitions
+
+
+def _apple_search_symbol(w):
+    """The symbol of an apple fetch world before the grasp."""
+    if "in_view" in w.marks:
+        return "apple_in_view"
+    if "near" in w.marks:
+        return "near_apple"
+    return "apple_located" if "located" in w.marks else "searching"
 
 
 def _task_6(seed: int):
     world = WorldState(objects={
         "apple_1": ObjectState("apple", "red", "far_room", occluded=True),
     })
-    rules = _apple_fetch_rules(((1500, 90), (800, 64), (400, 40), (500, 45)),
-                               grasp_p=0.9)
+    rules, transitions = _apple_fetch(
+        ((1500, 90), (800, 64), (400, 40), (500, 45)), grasp_p=0.9, miss_p=0.1)
 
     def do_deliver(w):
         w.gripper["holding"] = None
@@ -507,29 +515,18 @@ def _task_6(seed: int):
     rules["deliver apple"] = ActionRule(
         600, 60, lambda w: None if w.holding() == "apple_1"
         else "apple not in gripper", do_deliver, _always)
-    model = TransitionModel({
-        "searching": [("explore room", 1.0, "apple_located")],
-        "apple_located": [("approach apple", 1.0, "near_apple")],
-        "near_apple": [("look closely", 1.0, "apple_in_view")],
-        "apple_in_view": [("grasp apple", 0.9, "holding_apple"),
-                          ("grasp apple", 0.1, "apple_in_view")],
-        "holding_apple": [("deliver apple", 1.0, "delivered")],
-    }, {"delivered"})
+    transitions["holding_apple"] = [("deliver apple", 1.0, "delivered")]
+    model = TransitionModel(transitions, {"delivered"})
 
     def symbol(w):
         if w.objects["apple_1"].location == "delivery_zone":
             return "delivered"
         if w.holding() == "apple_1":
             return "holding_apple"
-        if "in_view" in w.marks:
-            return "apple_in_view"
-        if "near" in w.marks:
-            return "near_apple"
-        return "apple_located" if "located" in w.marks else "searching"
+        return _apple_search_symbol(w)
 
     return ScenarioSpec(
         task_id=6, category="multimodal", mission="find and fetch the apple",
-        goal={"type": "at", "object": "apple_1", "location": "delivery_zone"},
         rules=rules, model=model, symbol_of=symbol,
         reactive_script=("explore room", "approach apple", "look closely",
                          "grasp apple", "deliver apple"),
@@ -592,7 +589,6 @@ def _task_7(seed: int):
 
     spec = ScenarioSpec(
         task_id=7, category="long-horizon1", mission="fetch the apple (occlusion)",
-        goal={"type": "holding", "object": "apple_1"},
         rules=rules, model=model, symbol_of=symbol,
         reactive_script=("approach shelf", "look from left", "grasp apple"),
         timeout_ticks=8000, seed=seed,
@@ -606,33 +602,22 @@ def _task_8(seed: int):
     })
     # nominal completion 6400 ticks (64 virtual s, sigma ~262) racing the
     # 60 s deletion: only the fast tail beats the perturbation window
-    rules = _apple_fetch_rules(((3000, 190), (1500, 128), (1000, 100),
-                                (900, 82)), grasp_p=0.95)
-    model = TransitionModel({
-        "searching": [("explore room", 1.0, "apple_located")],
-        "apple_located": [("approach apple", 1.0, "near_apple")],
-        "near_apple": [("look closely", 1.0, "apple_in_view")],
-        "apple_in_view": [("grasp apple", 0.95, "holding_apple"),
-                          ("grasp apple", 0.05, "apple_in_view")],
-        "apple_missing": [],  # dead end: replanning must abort
-    }, {"holding_apple"})
+    rules, transitions = _apple_fetch(
+        ((3000, 190), (1500, 128), (1000, 100), (900, 82)),
+        grasp_p=0.95, miss_p=0.05)
+    transitions["apple_missing"] = []  # dead end: replanning must abort
+    model = TransitionModel(transitions, {"holding_apple"})
 
     def symbol(w):
-        apple = w.objects["apple_1"]
         if w.holding() == "apple_1":
             return "holding_apple"
-        if not apple.present:
+        if not w.objects["apple_1"].present:
             return "apple_missing"
-        if "in_view" in w.marks:
-            return "apple_in_view"
-        if "near" in w.marks:
-            return "near_apple"
-        return "apple_located" if "located" in w.marks else "searching"
+        return _apple_search_symbol(w)
 
     return ScenarioSpec(
         task_id=8, category="long-horizon2",
         mission="fetch the apple (dynamic deletion)",
-        goal={"type": "holding", "object": "apple_1"},
         rules=rules, model=model, symbol_of=symbol,
         scheduled_events=(ScheduledEvent(DELETION_TICK, "delete_object",
                                          {"object_id": "apple_1",

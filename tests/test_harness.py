@@ -126,6 +126,10 @@ def test_batch_round_trips_through_json(tmp_path):
     ("batch", "config_digest", []), ("batch", "seeds", ["a"]),
     ("batch", "seeds", [True]), ("trial", "seed", "x"),
     ("trial", "task_id", None), ("trial", "detail", [1]),
+    ("row", "task_id", 99), ("row", "outcomes", {"Bogus": -4}),
+    ("row", "outcomes", {"Success": -1}), ("trial", "task_id", 42),
+    ("trial", "ticks_elapsed", -12), ("trial", "extra", 1),
+    ("batch", "extra", 1),
 ])
 def test_batch_with_mistyped_field_rejected(where, field, value):
     row = {"task_id": 3, "category": "semantic", "eval_percentages": [100.0],

@@ -1,15 +1,23 @@
-"""Every name a module imports at module level is used in that module.
+"""Every name a module imports at module level is used in that module, and
+every script imports.
 
-Covers the package sources, the scripts and the tests. A name counts as used
-when it is loaded anywhere in the module.
+Covers the package sources, the scripts, the benchmark and the tests. A name
+counts as used when it is loaded anywhere in the module. Importing a script
+runs its module level but not its ``main()``, so a name it imports that no
+longer exists fails here rather than when someone runs it.
 """
 
 import ast
+import importlib.util
 import pathlib
+import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "brainstem").glob("*.py"),
-                  *(ROOT / "scripts").glob("*.py"),
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = sorted([*(ROOT / "src" / "brainstem").glob("*.py"), *SCRIPTS,
+                  *(ROOT / "perfbench").glob("*.py"),
                   *(ROOT / "tests").glob("*.py")])
 
 
@@ -49,3 +57,12 @@ def test_no_unused_module_level_imports():
     unused = {str(path.relative_to(ROOT)): found for path in SOURCES
               if (found := unused_imports(path.read_text(encoding="utf-8")))}
     assert unused == {}
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.name)
+def test_script_imports_without_running(path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # scripts prepend src/
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

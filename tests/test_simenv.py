@@ -13,7 +13,7 @@ def test_all_eight_tasks_load():
         scenario, world = load_scenario(task_id, seed=0)
         assert scenario.task_id == task_id
         assert scenario.action_vocab
-        assert not check_success(world, scenario.goal)
+        assert not check_success(scenario, world)
 
 
 def test_unknown_task_rejected():
@@ -37,7 +37,7 @@ def test_task1_cube_inside_closed_cabinet():
     scenario, world = load_scenario(1, 0)
     assert not world.containers["cabinet_1"]["open"]
     assert world.objects["cube_1"].container == "cabinet_1"
-    assert scenario.goal == {"type": "holding", "object": "cube_1"}
+    assert scenario.model.goal_states == {"holding_cube"}
 
 
 def test_task1_open_then_grasp_succeeds():
@@ -47,7 +47,7 @@ def test_task1_open_then_grasp_succeeds():
     assert events[-1]["success"]
     world, obs, events = step(scenario, world, "grasp cube", rng)
     assert events[-1]["success"]
-    assert check_success(world, scenario.goal)
+    assert check_success(scenario, world)
     assert obs.gripper["holding"] == "cube_1"
 
 
@@ -59,7 +59,7 @@ def test_grasp_through_closed_cabinet_fails_cleanly():
     assert not feedback["success"]
     assert "closed" in feedback["error"]
     assert after.holding() is None
-    assert not check_success(after, scenario.goal)
+    assert not check_success(scenario, after)
 
 
 def test_unknown_action_raises():
@@ -189,8 +189,32 @@ def test_durations_positive_and_near_mean():
 
 def test_initial_states_never_satisfied():
     for task_id in TASK_IDS:
-        scenario, world = load_scenario(task_id, 0)
-        assert not check_success(world, scenario.goal)
+        for seed in range(4):
+            scenario, world = load_scenario(task_id, seed)
+            assert not check_success(scenario, world)
+
+
+def model_states(model):
+    return set(model.transitions) | {nxt for outs in model.transitions.values()
+                                     for _, _, nxt in outs}
+
+
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_random_walk_symbols_are_model_states(task_id):
+    # success is the model's goal test on the world's symbol, so every world
+    # an episode can reach must map to a state the model declares
+    for seed in range(4):
+        scenario, world = load_scenario(task_id, seed)
+        states = model_states(scenario.model)
+        rng = random.Random(seed)
+        reached = [scenario.symbol_of(world)]
+        for _ in range(40):
+            action = rng.choice(scenario.action_vocab)
+            world, obs, _ = step(scenario, world, action, rng)
+            reached.append(obs.symbol)
+            if check_success(scenario, world):
+                break
+        assert set(reached) <= states, (seed, set(reached) - states)
 
 
 def test_observation_never_reveals_hidden():
