@@ -17,25 +17,26 @@ success was made against, and requests a replan when they differ. The leader
 plan, worker collaboration and those replans all run, but change no cell of
 the seeded grid: the only drift comes from a scheduled event (task 8's
 deletion), after which the symbol is the dead end ``apple_missing`` and the
-selector aborts. A replan request is the flag
-``replan_requested``, not a message. The bus carries one message per event:
-each plan (``SubtaskAssign``), each provider response (``AgentResponse``) and
-each finished action (``ActionFeedback``). No agent reads it, so none
-subscribes and no message waits in a queue; its audit log is the episode's
-record of them.
+selector aborts. A replan request is the flag ``replan_requested``, not a
+message. The bus carries one message per event: each plan (``SubtaskAssign``),
+each provider response (``AgentResponse``) and each finished action
+(``ActionFeedback``). No agent reads it, so none subscribes and no message
+waits in a queue; its audit log is the episode's record of them.
 
-The reactive controller still runs on every tick, with zeros for every input
-but the action's embedding, although no decision reads its output. It is over
-nine tenths of an episode's time (13-16x per pass of the traced grids without
-it), and it stays until ``perfbench``'s traced runs are bounded for a program
-that much faster: without it, ``--trace 1`` needs ~300-360 untraced rounds
-instead of ~24 and takes ~3 minutes instead of ~1. The Bayes filter, the HTN
-DAG, the latent relay, the episodic memory with its broadcast, multimodal
-fusion and the inspector's drift check are library units
-(``estimator.forward_filter``, ``planner.build_htn_dag``,
-``pipeline.relay_update``, ``memory.memory_update``,
-``agents.fuse_observations``, ``agents.inspect_alignment``) that the episode
-does not call.
+A backend error while planning ends the trial as ``HandledAbort`` at that
+tick, detail ``backend: <message>``; a malformed reply still raises.
+
+The reactive controller still runs on every tick, with zeros for every input,
+although no decision reads its output. It is over nine tenths of an episode's
+time (13-16x per pass of the traced grids without it), and it stays until
+``perfbench``'s traced runs are bounded for a program that much faster:
+without it, ``--trace 1`` needs ~300-360 untraced rounds instead of ~24 and
+takes ~3 minutes instead of ~1. The Bayes filter, the HTN DAG, the latent
+relay, the episodic memory with its broadcast, multimodal fusion and the
+inspector's drift check are library units (``estimator.forward_filter``,
+``planner.build_htn_dag``, ``pipeline.relay_update``,
+``memory.memory_update``, ``agents.fuse_observations``,
+``agents.inspect_alignment``) that the episode does not call.
 """
 
 from __future__ import annotations
@@ -47,11 +48,10 @@ from typing import Optional
 
 import numpy as np
 
-from .agents import (EMBED_DIM, HashEmbedder, plan_mission, provider_execute,
-                     worker_reflect)
+from .agents import EMBED_DIM, plan_mission, provider_execute, worker_reflect
 from .backends import ScriptedBackend
 from .bus import MessageBus
-from .errors import ConfigError, EmptyActionSet
+from .errors import BackendError, ConfigError, EmptyActionSet
 from .pipeline import RateConfig, ReviewDecision, run_scheduler, state_review
 from .planner import generate_state_tree, select_action
 from .protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
@@ -145,10 +145,7 @@ class EpisodeRuntime:
             self.registry.register_agent(
                 AgentDescriptor(worker, Role.WORKER, expertise))
 
-        self.action_embedder = HashEmbedder(EMBED_DIM, "action")
-
-        # no decision reads the controller's output, so it gets zeros for its
-        # state, latent and error inputs and only the action is embedded
+        # no decision reads the controller's output, so every input is zeros
         self.zeros = np.zeros(EMBED_DIM)
         self.controller = ReactiveController(
             EMBED_DIM, ReactiveGains(zeta=0.5, sigma=0.3, kp=0.6, kd=0.1),
@@ -166,7 +163,6 @@ class EpisodeRuntime:
         self.replans = 0
         self.script_index = 0
 
-        self._cached_action_vec = self.zeros
         # the symbol state review compares the world's against: the last
         # plan's or successful action's
         self.tracked_symbol = scenario.symbol_of(world)
@@ -187,7 +183,12 @@ class EpisodeRuntime:
             self.detail = "no viable plan after world change"
             return
         if self.plan is None or self.replan_requested:
-            self._make_plan()
+            try:
+                self._make_plan()
+            except BackendError as exc:  # raised after the backend's retries
+                self.done = Outcome.HANDLED_ABORT
+                self.detail = f"backend: {exc}"
+                return
             self.replan_requested = False
 
     def _make_plan(self) -> None:
@@ -248,7 +249,6 @@ class EpisodeRuntime:
                                    self.slowdown)
         self.current_action = action
         self.action_done_at = self.world.tick + duration
-        self._cached_action_vec = self.action_embedder.embed(action)
 
     def _finish_action(self) -> None:
         action = self.current_action
@@ -277,8 +277,7 @@ class EpisodeRuntime:
             return
         if self.current_action is None and not self.pending_abort:
             self._next_action()
-        self.controller.step(self.zeros, self._cached_action_vec,
-                             self.zeros, self.zeros)
+        self.controller.step(self.zeros, self.zeros, self.zeros, self.zeros)
 
     def _scripted_next(self) -> None:
         script = self.scenario.reactive_script

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Optional, Sequence
@@ -181,6 +182,23 @@ class EvalBatch:
                 "non-negative int counts keyed by outcome; trials need a "
                 "task_id in that set, an int seed, a non-negative int "
                 "ticks_elapsed and a string detail")
+        cells = [(t.task_id, t.seed) for t in batch.trials]
+        if len(set(cells)) != len(cells) or not {
+                seed for _, seed in cells} <= set(batch.seeds):
+            raise SchemaViolation("batch: trials repeat a (task_id, seed) "
+                                  "or use a seed outside seeds")
+        for row in batch.rows:
+            counts = dict(Counter(t.outcome.value for t in batch.trials
+                                  if t.task_id == row.task_id))
+            if row.outcomes != counts:
+                raise SchemaViolation(
+                    f"batch: task {row.task_id} outcomes {row.outcomes} are "
+                    f"not its trials' counts {counts}")
+            if not row.eval_percentages or (row.avg, row.std) != aggregate(
+                    row.eval_percentages):
+                raise SchemaViolation(
+                    f"batch: task {row.task_id} avg and std are not the "
+                    "aggregate of its eval_percentages")
         return batch
 
 

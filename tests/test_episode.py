@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +12,7 @@ from brainstem.agents import (EMBED_DIM, HashEmbedder, InspectionVerdict,
                               inspect_alignment)
 from brainstem.backends import ScriptedBackend
 from brainstem.episode import EpisodeConfig, EpisodeRuntime, Outcome, run_trial
-from brainstem.errors import ConfigError, SchemaViolation
+from brainstem.errors import BackendError, ConfigError, SchemaViolation
 from brainstem.pipeline import ReviewDecision, state_review
 from brainstem.protocol import (PayloadKind, decode_envelope,
                                 serialize_envelope, tick_to_timestamp)
@@ -78,6 +82,55 @@ def test_plan_with_broken_dependencies_rejected(index, depends_on):
 
     with pytest.raises(SchemaViolation):
         run_trial(6, 0, backend=BrokenPlan())
+
+
+class FailingBackend(ScriptedBackend):
+    """Raises BackendError on the ``fail_on``-th call for ``role``."""
+
+    def __init__(self, role, fail_on=1):
+        super().__init__()
+        self.role, self.fail_on, self.calls = role, fail_on, 0
+
+    def complete(self, role, key):
+        if role == self.role:
+            self.calls += 1
+            if self.calls == self.fail_on:
+                raise BackendError(f"{role} unreachable")
+        return super().complete(role, key)
+
+
+@pytest.mark.parametrize("task_id, role", [(1, "leader"), (6, "worker")])
+def test_backend_error_ends_trial_as_handled_abort(task_id, role):
+    # task 6's plan is high difficulty, so its first plan asks the workers
+    result = run_trial(task_id, 0, backend=FailingBackend(role))
+    assert (result.outcome, result.ticks_elapsed, result.detail) == \
+        (Outcome.HANDLED_ABORT, 0, f"backend: {role} unreachable")
+
+
+def test_backend_error_on_replan_keeps_its_tick():
+    # task 8's deletion requests a second plan at a deliberative boundary
+    config = EpisodeConfig()
+    result = run_trial(8, 0, config, FailingBackend("leader", fail_on=2))
+    assert result.outcome is Outcome.HANDLED_ABORT
+    assert result.detail == "backend: leader unreachable"
+    assert result.ticks_elapsed > 0
+    assert result.ticks_elapsed % config.deliberative_period == 0
+
+
+def test_trials_load_no_numpy_random():
+    # the unread controller gets zeros, so no trial embeds an action and
+    # numpy's lazily loaded random module stays out of the process
+    code = ("import sys\n"
+            "from brainstem.episode import EpisodeConfig\n"
+            "from brainstem.harness import run_trial\n"
+            "run_trial(1, 0)\n"
+            "run_trial(1, 0, EpisodeConfig(mode='reactive_only'))\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_occlusion_task_uses_viewpoint_path():

@@ -6,7 +6,8 @@ import pytest
 from brainstem import harness
 from brainstem.cli import main
 from brainstem.episode import Outcome, TrialResult
-from brainstem.errors import ConfigError, EmptyInput, SchemaViolation
+from brainstem.errors import (BackendError, ConfigError, EmptyInput,
+                              SchemaViolation)
 from brainstem.harness import (BenchConfig, EvalBatch, aggregate, emit_report,
                                load_reference_tables, reference_aggregates,
                                run_bench)
@@ -129,7 +130,10 @@ def test_batch_round_trips_through_json(tmp_path):
     ("row", "task_id", 99), ("row", "outcomes", {"Bogus": -4}),
     ("row", "outcomes", {"Success": -1}), ("trial", "task_id", 42),
     ("trial", "ticks_elapsed", -12), ("trial", "extra", 1),
-    ("batch", "extra", 1),
+    ("batch", "extra", 1), ("row", "avg", 50.0), ("row", "std", 1.0),
+    ("row", "eval_percentages", [0.0, 50.0, 100.0]),
+    ("row", "eval_percentages", []), ("row", "outcomes", {"Failure": 1}),
+    ("row", "outcomes", {"Success": 2}), ("trial", "seed", 7),
 ])
 def test_batch_with_mistyped_field_rejected(where, field, value):
     row = {"task_id": 3, "category": "semantic", "eval_percentages": [100.0],
@@ -142,6 +146,35 @@ def test_batch_with_mistyped_field_rejected(where, field, value):
     {"row": row, "trial": trial, "batch": doc}[where][field] = value
     with pytest.raises(SchemaViolation):
         EvalBatch.from_doc(doc)
+
+
+def test_batch_repeating_a_trial_rejected():
+    # two Success trials of one (task, seed): the row's counts match them,
+    # yet no batch run_bench writes repeats a cell
+    trial = {"task_id": 3, "seed": 0, "outcome": "Success",
+             "ticks_elapsed": 12, "detail": ""}
+    doc = {"config_digest": "x", "mode": "full", "seeds": [0, 1],
+           "rows": [{"task_id": 3, "category": "semantic",
+                     "eval_percentages": [100.0], "avg": 100.0, "std": 0.0,
+                     "outcomes": {"Success": 2}}],
+           "trials": [trial, dict(trial)]}
+    with pytest.raises(SchemaViolation, match="repeat"):
+        EvalBatch.from_doc(doc)
+    doc["trials"][1]["seed"] = 1
+    EvalBatch.from_doc(doc)
+
+
+def test_backend_error_ends_trials_not_the_batch(monkeypatch):
+    class Down:
+        def complete(self, role, key):
+            raise BackendError("connection refused")
+
+    monkeypatch.setattr(harness, "_make_backend", lambda config: Down())
+    batch = run_bench(small_config(tasks=(1, 3)))
+    assert [row.task_id for row in batch.rows] == [1, 3]
+    assert {(t.outcome, t.ticks_elapsed, t.detail) for t in batch.trials} == \
+        {(Outcome.HANDLED_ABORT, 0, "backend: connection refused")}
+    assert EvalBatch.from_doc(batch.to_doc()).to_doc() == batch.to_doc()
 
 
 # -- reports -------------------------------------------------------------------
