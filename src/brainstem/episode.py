@@ -24,7 +24,11 @@ each provider response (``AgentResponse``) and each finished action
 waits in a queue; its audit log is the episode's record of them.
 
 A backend error while planning ends the trial as ``HandledAbort`` at that
-tick, detail ``backend: <message>``; a malformed reply still raises.
+tick, detail ``backend: <message>``. So does a malformed reply (a
+``SchemaViolation`` or ``UnknownWorker`` from a plan, a worker's reflection, a
+provider response or the plan's worker check), detail ``malformed reply:
+<message>``. The episode's own errors, such as ``make_envelope``'s, still
+raise.
 
 The reactive controller still runs on every tick, with zeros for every input,
 although no decision reads its output. It is over nine tenths of an episode's
@@ -51,7 +55,8 @@ import numpy as np
 from .agents import EMBED_DIM, plan_mission, provider_execute, worker_reflect
 from .backends import ScriptedBackend
 from .bus import MessageBus
-from .errors import BackendError, ConfigError, EmptyActionSet
+from .errors import (BackendError, ConfigError, EmptyActionSet,
+                     SchemaViolation, UnknownWorker)
 from .pipeline import RateConfig, ReviewDecision, run_scheduler, state_review
 from .planner import generate_state_tree, select_action
 from .protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
@@ -60,8 +65,8 @@ from .protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
 from .reactive import ReactiveController, ReactiveGains
 from .registry import AgentDescriptor, AgentRegistry, Role
 from .simenv import (REACTIVE_SLOWDOWN, ScenarioSpec, WorldState,
-                     advance_clock, check_success, resolve_action,
-                     sample_duration)
+                     advance_clock, check_success, load_scenario,
+                     resolve_action, sample_duration)
 
 MODES = ("full", "reactive_only")
 
@@ -184,35 +189,45 @@ class EpisodeRuntime:
             return
         if self.plan is None or self.replan_requested:
             try:
-                self._make_plan()
+                messages = self._consult()
             except BackendError as exc:  # raised after the backend's retries
                 self.done = Outcome.HANDLED_ABORT
                 self.detail = f"backend: {exc}"
                 return
+            except (SchemaViolation, UnknownWorker) as exc:
+                self.done = Outcome.HANDLED_ABORT
+                self.detail = f"malformed reply: {exc}"
+                return
+            self.replans += 1
+            self.collaborations += len(messages) - 1
+            for message in messages:
+                self._publish(*message)
+            self.excluded = set()
+            self.tracked_symbol = self.scenario.symbol_of(self.world)
             self.replan_requested = False
 
-    def _make_plan(self) -> None:
-        self.replans += 1
+    def _consult(self) -> list:
+        """Ask the backend for a plan and for the provider responses its
+        workers request; returns the (kind, body, sender) of each message.
+
+        Raises on a backend error or a malformed reply, before any publish.
+        """
         self.plan = plan_mission(self.scenario.mission, self.backend)
         plan_doc = self.plan.to_doc()
         self.registry.validate_assignment(plan_doc)
-        self._publish(PayloadKind.SUBTASK_ASSIGN, plan_doc, "Leader_1")
-        if self.plan.difficulty == "high":
-            self._collaborate()
-        self.excluded = set()
-        self.tracked_symbol = self.scenario.symbol_of(self.world)
-
-    def _collaborate(self) -> None:
+        messages = [(PayloadKind.SUBTASK_ASSIGN, plan_doc, "Leader_1")]
+        if self.plan.difficulty != "high":
+            return messages
         for subtask in self.plan.subtasks:
             decision = worker_reflect(subtask, WORKER_EXPERTISE, self.backend)
             if not decision.collaboration_required:
                 continue
             for request in decision.requirement:
                 response = provider_execute(request, self.backend)
-                self.collaborations += 1
-                self._publish(PayloadKind.AGENT_RESPONSE,
-                              {"response": response.response},
-                              request["worker_id"])
+                messages.append((PayloadKind.AGENT_RESPONSE,
+                                 {"response": response.response},
+                                 request["worker_id"]))
+        return messages
 
     def _publish(self, kind: PayloadKind, body: dict, sender: str) -> None:
         # one message per event; stamped with the bus's clock, the world tick
@@ -318,8 +333,6 @@ class EpisodeRuntime:
 
 def run_trial(task_id: int, seed: int, config: Optional[EpisodeConfig] = None,
               backend=None) -> TrialResult:
-    from .simenv import load_scenario
-
     scenario, world = load_scenario(task_id, seed)
     runtime = EpisodeRuntime(scenario, world, config, backend)
     return runtime.run()

@@ -23,7 +23,7 @@ from .episode import (MODES, EpisodeConfig, Outcome, TrialResult,
                       require_positive_ints, run_trial)
 from .errors import ConfigError, EmptyInput, IoError, SchemaViolation
 from .protocol import is_finite_number
-from .simenv import TASK_IDS
+from .simenv import TASK_IDS, load_scenario
 
 BACKENDS = ("scripted", "remote")
 
@@ -92,6 +92,22 @@ class TaskRow:
     avg: float
     std: float
     outcomes: dict
+
+
+def task_row(task_id: int, trials: Sequence[TrialResult],
+             evals: int) -> TaskRow:
+    """The row of one task's ``trials``: the success percentage of each of
+    ``evals`` equal blocks of them in seed order, the percentages' aggregate
+    and the outcome counts."""
+    trials = sorted(trials, key=lambda t: t.seed)
+    size = len(trials) // evals
+    percentages = [100.0 * sum(t.outcome is Outcome.SUCCESS
+                               for t in trials[i * size:(i + 1) * size]) / size
+                   for i in range(evals)]
+    avg, std = aggregate(percentages)
+    return TaskRow(task_id, load_scenario(task_id, 0)[0].category,
+                   percentages, avg, std,
+                   dict(Counter(t.outcome.value for t in trials)))
 
 
 _OUTCOMES = frozenset(o.value for o in Outcome)
@@ -182,23 +198,21 @@ class EvalBatch:
                 "non-negative int counts keyed by outcome; trials need a "
                 "task_id in that set, an int seed, a non-negative int "
                 "ticks_elapsed and a string detail")
-        cells = [(t.task_id, t.seed) for t in batch.trials]
-        if len(set(cells)) != len(cells) or not {
-                seed for _, seed in cells} <= set(batch.seeds):
-            raise SchemaViolation("batch: trials repeat a (task_id, seed) "
-                                  "or use a seed outside seeds")
+        cells = sorted((t.task_id, t.seed) for t in batch.trials)
+        wanted = [(row.task_id, seed) for row in batch.rows
+                  for seed in batch.seeds]
+        if len(set(wanted)) != len(wanted) or cells != sorted(wanted):
+            raise SchemaViolation(
+                "batch: trials must be one per (row task_id, seed), and "
+                "neither seeds nor rows may repeat")
         for row in batch.rows:
-            counts = dict(Counter(t.outcome.value for t in batch.trials
-                                  if t.task_id == row.task_id))
-            if row.outcomes != counts:
+            evals = len(row.eval_percentages)
+            if not evals or len(batch.seeds) % evals or row != task_row(
+                    row.task_id, [t for t in batch.trials
+                                  if t.task_id == row.task_id], evals):
                 raise SchemaViolation(
-                    f"batch: task {row.task_id} outcomes {row.outcomes} are "
-                    f"not its trials' counts {counts}")
-            if not row.eval_percentages or (row.avg, row.std) != aggregate(
-                    row.eval_percentages):
-                raise SchemaViolation(
-                    f"batch: task {row.task_id} avg and std are not the "
-                    "aggregate of its eval_percentages")
+                    f"batch: task {row.task_id}'s row is not the row of its "
+                    f"trials in {evals} evaluation blocks")
         return batch
 
 
@@ -212,8 +226,6 @@ def _make_backend(config: BenchConfig):
 
 def run_bench(config: BenchConfig) -> EvalBatch:
     """Execute the configured trial grid; deterministic given the seeds."""
-    from .simenv import load_scenario
-
     if config.out_dir:
         try:
             os.makedirs(config.out_dir, exist_ok=True)
@@ -225,23 +237,10 @@ def run_bench(config: BenchConfig) -> EvalBatch:
              for i in range(config.evals * config.trials_per_eval)]
     batch = EvalBatch(config.digest(), config.mode, seeds)
     for task_id in config.tasks:
-        category = load_scenario(task_id, 0)[0].category
-        percentages = []
-        outcomes: dict = {}
-        for block in range(config.evals):
-            hits = 0
-            for trial in range(config.trials_per_eval):
-                seed = seeds[block * config.trials_per_eval + trial]
-                result = run_trial(task_id, seed, episode_config, backend)
-                batch.trials.append(result)
-                outcomes[result.outcome.value] = \
-                    outcomes.get(result.outcome.value, 0) + 1
-                if result.outcome is Outcome.SUCCESS:
-                    hits += 1
-            percentages.append(100.0 * hits / config.trials_per_eval)
-        avg, std = aggregate(percentages)
-        batch.rows.append(TaskRow(task_id, category, percentages, avg, std,
-                                  outcomes))
+        trials = [run_trial(task_id, seed, episode_config, backend)
+                  for seed in seeds]
+        batch.trials.extend(trials)
+        batch.rows.append(task_row(task_id, trials, config.evals))
     if config.out_dir:
         path = os.path.join(config.out_dir, "batch.json")
         try:

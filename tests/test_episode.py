@@ -64,24 +64,35 @@ def test_ood_mission_runs_without_scripted_plan():
     assert result.outcome in (Outcome.SUCCESS, Outcome.FAILURE)
 
 
-@pytest.mark.parametrize("index, depends_on", [(1, ["ST9"]), (0, ["ST2"])],
-                         ids=["dangling", "cyclic"])
-def test_plan_with_broken_dependencies_rejected(index, depends_on):
+class ReplyingBackend(ScriptedBackend):
+    """Replies ``reply`` to every call for ``role``."""
+
+    def __init__(self, role, reply):
+        super().__init__()
+        self.role, self.reply = role, reply
+
+    def complete(self, role, key):
+        if role == self.role:
+            return self.reply
+        return super().complete(role, key)
+
+
+@pytest.mark.parametrize("index, depends_on, problem", [
+    (1, ["ST9"], "ST2 depends on 'ST9', which is not a subtask in this plan"),
+    (0, ["ST2"], "dependency cycle through ['ST1', 'ST2']"),
+], ids=["dangling", "cyclic"])
+def test_plan_with_broken_dependencies_rejected(index, depends_on, problem):
     # a backend plan is outside input: its depends_on must name subtasks of
     # the plan and admit an execution order before the episode acts on it.
     # The scripted plan's ST2 depends on ST1, so ST1 -> ST2 closes a cycle.
     plan = json.loads(ScriptedBackend().complete("leader",
                                                  "find and fetch the apple"))
     plan["subtasks"][index]["depends_on"] = depends_on
-
-    class BrokenPlan(ScriptedBackend):
-        def complete(self, role, key):
-            if role == "leader":
-                return json.dumps(plan)
-            return super().complete(role, key)
-
-    with pytest.raises(SchemaViolation):
-        run_trial(6, 0, backend=BrokenPlan())
+    result = run_trial(6, 0, backend=ReplyingBackend("leader",
+                                                     json.dumps(plan)))
+    assert (result.outcome, result.ticks_elapsed, result.detail) == \
+        (Outcome.HANDLED_ABORT, 0,
+         f"malformed reply: subtasks.depends_on: {problem}")
 
 
 class FailingBackend(ScriptedBackend):
@@ -115,6 +126,36 @@ def test_backend_error_on_replan_keeps_its_tick():
     assert result.detail == "backend: leader unreachable"
     assert result.ticks_elapsed > 0
     assert result.ticks_elapsed % config.deliberative_period == 0
+
+
+UNKNOWN_COLLEAGUE = json.dumps({
+    "collaboration_required": True,
+    "requirement": [{"request_detail": "help", "request_id": "0001",
+                     "worker_id": "Worker_9"}]})
+
+
+@pytest.mark.parametrize("task_id, role, reply, detail", [
+    (1, "leader", "{not json",
+     "malformed reply: plan: backend returned malformed JSON ("),
+    (6, "worker", UNKNOWN_COLLEAGUE,
+     "malformed reply: 'Worker_9' is not in the colleague database"),
+], ids=["not_json", "unknown_worker"])
+def test_malformed_reply_ends_trial_as_handled_abort(task_id, role, reply,
+                                                    detail):
+    # task 6's plan is high difficulty, so its first plan asks the workers
+    result = run_trial(task_id, 0, backend=ReplyingBackend(role, reply))
+    assert (result.outcome, result.ticks_elapsed) == (Outcome.HANDLED_ABORT, 0)
+    assert result.detail.startswith(detail)
+
+
+def test_episode_own_schema_violation_still_raises(monkeypatch):
+    # only replies are caught: a fault in the episode's own messages is a bug
+    def make_envelope(*args):
+        raise SchemaViolation("envelope")
+
+    monkeypatch.setattr(episode, "make_envelope", make_envelope)
+    with pytest.raises(SchemaViolation, match="envelope"):
+        run_trial(1, 0)
 
 
 def test_trials_load_no_numpy_random():

@@ -134,6 +134,7 @@ def test_batch_round_trips_through_json(tmp_path):
     ("row", "eval_percentages", [0.0, 50.0, 100.0]),
     ("row", "eval_percentages", []), ("row", "outcomes", {"Failure": 1}),
     ("row", "outcomes", {"Success": 2}), ("trial", "seed", 7),
+    ("row", "category", "physical"),
 ])
 def test_batch_with_mistyped_field_rejected(where, field, value):
     row = {"task_id": 3, "category": "semantic", "eval_percentages": [100.0],
@@ -174,6 +175,63 @@ def test_backend_error_ends_trials_not_the_batch(monkeypatch):
     assert [row.task_id for row in batch.rows] == [1, 3]
     assert {(t.outcome, t.ticks_elapsed, t.detail) for t in batch.trials} == \
         {(Outcome.HANDLED_ABORT, 0, "backend: connection refused")}
+    assert EvalBatch.from_doc(batch.to_doc()).to_doc() == batch.to_doc()
+
+
+def batch_doc(seeds, rows, trials):
+    """A batch document of ``rows`` (task_id, category, eval_percentages,
+    outcomes) and ``trials`` (task_id, seed, outcome)."""
+    return {"config_digest": "x", "mode": "full", "seeds": seeds,
+            "rows": [{"task_id": t, "category": c, "eval_percentages": p,
+                      "avg": aggregate(p)[0], "std": aggregate(p)[1],
+                      "outcomes": o} for t, c, p, o in rows],
+            "trials": [{"task_id": t, "seed": s, "outcome": o,
+                        "ticks_elapsed": 12, "detail": ""}
+                       for t, s, o in trials]}
+
+
+PHYSICAL_FAILED = (1, "physical", [0.0], {"Failure": 1})
+
+
+@pytest.mark.parametrize("doc", [
+    batch_doc([0], [(1, "physical", [100.0], {"Failure": 1})],
+              [(1, 0, "Failure")]),
+    batch_doc([0], [PHYSICAL_FAILED, PHYSICAL_FAILED], [(1, 0, "Failure")]),
+    batch_doc([0], [PHYSICAL_FAILED, (2, "visual", [100.0], {})],
+              [(1, 0, "Failure")]),
+    batch_doc([0, 0], [PHYSICAL_FAILED], [(1, 0, "Failure")]),
+    batch_doc([0], [(3, "physical", [100.0], {"Success": 1})],
+              [(3, 0, "Success")]),
+    batch_doc([0, 1], [(1, "physical", [100.0, 0.0],
+                        {"Failure": 1, "Success": 1})],
+              [(1, 0, "Failure"), (1, 1, "Success")]),
+    batch_doc([0, 1], [PHYSICAL_FAILED], [(1, 0, "Failure")]),
+], ids=["percentages_not_outcomes", "repeated_row", "row_without_trials",
+        "repeated_seed", "wrong_category", "swapped_blocks", "missing_cell"])
+def test_batch_whose_rows_are_not_its_trials_rows_rejected(doc):
+    with pytest.raises(SchemaViolation):
+        EvalBatch.from_doc(doc)
+
+
+def test_batch_rows_are_task_rows_of_their_trials():
+    batch = run_bench(small_config(tasks=(1, 4), evals=3, trials_per_eval=2))
+    for row in batch.rows:
+        trials = [t for t in batch.trials if t.task_id == row.task_id]
+        assert row == harness.task_row(row.task_id, trials[::-1], 3)
+
+
+def test_malformed_reply_ends_trials_not_the_batch(monkeypatch):
+    class NotJson:
+        def complete(self, role, key):
+            return "{not json"
+
+    monkeypatch.setattr(harness, "_make_backend", lambda config: NotJson())
+    batch = run_bench(small_config(tasks=(1, 2)))
+    assert [row.task_id for row in batch.rows] == [1, 2]
+    assert {(t.outcome, t.ticks_elapsed) for t in batch.trials} == \
+        {(Outcome.HANDLED_ABORT, 0)}
+    assert all(t.detail.startswith("malformed reply: plan: ")
+               for t in batch.trials)
     assert EvalBatch.from_doc(batch.to_doc()).to_doc() == batch.to_doc()
 
 
@@ -263,12 +321,13 @@ def test_cli_json_report_loads_back_as_the_same_trials(tmp_path, capsys):
     ["aggregate", "--input", "{tmp}/nan.json"],
     ["aggregate", "--input", "{tmp}/infinity.json"],
     ["run", "--task", "1,1", "--trials", "1", "--evals", "1"],
+    ["report", "--input", "{tmp}/rows_not_trials.json"],
 ], ids=["ratios", "task", "seconds_per_tick", "report_missing",
         "report_no_mode", "report_not_json", "aggregate_missing",
         "out_under_file", "aggregate_list", "aggregate_strings",
         "report_no_seeds", "report_avg_string", "report_evals_string",
         "report_avg_nan", "aggregate_nan", "aggregate_infinity",
-        "task_duplicate"])
+        "task_duplicate", "report_rows_not_trials"])
 def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "no_mode.json").write_text(json.dumps(
         {"config_digest": "x", "seeds": [], "rows": [], "trials": []}))
@@ -290,6 +349,9 @@ def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
         (tmp_path / f"{name}.json").write_text(json.dumps(
             {"config_digest": "x", "mode": "full", "seeds": [0],
              "rows": [row], "trials": []}))
+    (tmp_path / "rows_not_trials.json").write_text(json.dumps(
+        batch_doc([0], [(1, "physical", [100.0], {"Failure": 1})],
+                  [(1, 0, "Failure")])))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) != 0
     err = capsys.readouterr().err
