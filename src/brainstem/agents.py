@@ -192,8 +192,8 @@ class DecompositionPlan:
     subtasks: tuple
 
     @classmethod
-    def from_doc(cls, doc: Mapping) -> "DecompositionPlan":
-        problems = decomposition_plan_problems(dict(doc))
+    def from_doc(cls, doc: object) -> "DecompositionPlan":
+        problems = decomposition_plan_problems(doc)
         if problems:
             raise SchemaViolation(problems)
         return cls(doc["difficulty"], tuple(dict(s) for s in doc["subtasks"]))
@@ -209,8 +209,8 @@ class CollaborationDecision:
     requirement: tuple
 
     @classmethod
-    def from_doc(cls, doc: Mapping) -> "CollaborationDecision":
-        problems = collaboration_decision_problems(dict(doc))
+    def from_doc(cls, doc: object) -> "CollaborationDecision":
+        problems = collaboration_decision_problems(doc)
         if problems:
             raise SchemaViolation(problems)
         return cls(doc["collaboration_required"],
@@ -222,7 +222,7 @@ class ProviderResponse:
     response: str
 
 
-def _parse_json(text: str, what: str) -> dict:
+def _parse_json(text: str, what: str) -> object:
     try:
         return json.loads(text)
     except ValueError as exc:

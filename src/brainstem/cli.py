@@ -65,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=(1, EpisodeConfig.memory_period,
                                 EpisodeConfig.deliberative_period),
                        help="reactive,memory,deliberative periods in ticks")
-    run_p.add_argument("--seconds-per-tick", type=float, default=None,
-                       help="bind the virtual clock to wall time (slow!)")
     run_p.add_argument("--out", default=None, help="output directory")
 
     agg_p = sub.add_parser("aggregate",
@@ -92,7 +90,6 @@ def _cmd_run(args) -> int:
         backend=args.backend,
         memory_period=args.ratios[1],
         deliberative_period=args.ratios[2],
-        seconds_per_tick=args.seconds_per_tick,
         out_dir=args.out,
     )
     batch = run_bench(config)

@@ -2,7 +2,8 @@
 
 One episode runs a benchmark scenario through the registry, bus, role-playing
 agents, tree-search action selection, state review, and the per-tick reactive
-controller, all on the virtual-clock scheduler. Two agent configurations exist
+controller, all on the virtual-clock scheduler; no trial waits on wall time,
+and ``ticks_elapsed`` is virtual time alone. Two agent configurations exist
 (see ``MODES``): the full collective and a reactive-only ablation (a slowed
 fixed action script, and only the reactive loop).
 
@@ -60,8 +61,7 @@ from .errors import (BackendError, ConfigError, EmptyActionSet,
 from .pipeline import RateConfig, ReviewDecision, run_scheduler, state_review
 from .planner import generate_state_tree, select_action
 from .protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
-                       PayloadKind, is_finite_number, make_envelope,
-                       tick_to_timestamp)
+                       PayloadKind, make_envelope, tick_to_timestamp)
 from .reactive import ReactiveController, ReactiveGains
 from .registry import AgentDescriptor, AgentRegistry, Role
 from .simenv import (REACTIVE_SLOWDOWN, ScenarioSpec, WorldState,
@@ -113,16 +113,11 @@ class EpisodeConfig:
     memory_period: int = 100          # 1 virtual second
     deliberative_period: int = 1000   # 10 virtual seconds
     trace_path: Optional[str] = None
-    seconds_per_tick: Optional[float] = None  # bind the virtual clock to wall time
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         require_positive_ints(self, ("memory_period", "deliberative_period"))
-        spt = self.seconds_per_tick
-        if spt is not None and not (is_finite_number(spt) and spt >= 0):
-            raise ConfigError(f"seconds_per_tick must be finite and >= 0, "
-                              f"got {spt!r}")
 
     def rates(self) -> RateConfig:
         return RateConfig(self.memory_period, self.deliberative_period)
@@ -320,8 +315,7 @@ class EpisodeRuntime:
             on_memory=self._memory_step if slow_loops else None,
             on_deliberative=self._deliberate if slow_loops else None,
             trace_reactive=False,
-            stop=lambda tick: self.done is not None,
-            seconds_per_tick=self.config.seconds_per_tick)
+            stop=lambda tick: self.done is not None)
         if self.config.trace_path:
             trace.write(self.config.trace_path)
         outcome = self.done if self.done is not None else Outcome.FAILURE

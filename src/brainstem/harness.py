@@ -53,7 +53,6 @@ class BenchConfig:
     backend: str = "scripted"
     memory_period: int = EpisodeConfig.memory_period
     deliberative_period: int = EpisodeConfig.deliberative_period
-    seconds_per_tick: Optional[float] = None
     out_dir: Optional[str] = None
 
     def __post_init__(self):
@@ -80,8 +79,7 @@ class BenchConfig:
     def episode_config(self) -> EpisodeConfig:
         return EpisodeConfig(mode=self.mode,
                              memory_period=self.memory_period,
-                             deliberative_period=self.deliberative_period,
-                             seconds_per_tick=self.seconds_per_tick)
+                             deliberative_period=self.deliberative_period)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Asynchronous multi-rate core: latent relay, state review, tick scheduler.
 
-Time is a virtual clock in ticks. The reactive loop fires every tick, the
+Time is a virtual clock in ticks only: no loop waits on wall time, so a run
+takes as long as its hooks' work. The reactive loop fires every tick, the
 memory loop every ``memory_period`` ticks, the deliberative loop every
 ``deliberative_period`` ticks (defaults keep the 1 : 1000 : 100000 ratio).
 Deliberative work is chunked: callbacks may hand back deferred jobs whose
@@ -10,7 +11,6 @@ round never displaces a reactive tick.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -140,21 +140,17 @@ def run_scheduler(rates: RateConfig, horizon_ticks: int,
                   on_memory: Optional[Callable] = None,
                   on_deliberative: Optional[Callable] = None,
                   trace_reactive: bool = True,
-                  stop: Optional[Callable] = None,
-                  seconds_per_tick: Optional[float] = None) -> ExecutionTrace:
+                  stop: Optional[Callable] = None) -> ExecutionTrace:
     """Drive the three loops over a virtual horizon.
 
     ``on_deliberative(tick)`` may return ``(latency_ticks, apply_fn)`` to model
     slow work: the result is applied at the first deliberative boundary after
     the latency elapses, keeping every reactive tick on time. ``stop(tick)``
-    ends the run early. ``seconds_per_tick`` optionally binds the virtual
-    clock to wall time.
+    ends the run early.
     """
     trace = ExecutionTrace()
     pending: list = []
     for tick in range(1, horizon_ticks + 1):
-        if seconds_per_tick:
-            time.sleep(seconds_per_tick)
         if on_reactive is not None:
             on_reactive(tick)
         if trace_reactive:

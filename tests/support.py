@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 from brainstem.protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
                                 PayloadKind, make_envelope, tick_to_timestamp)
+
+
+# a worker reply that asks a colleague the roster does not have
+UNKNOWN_COLLEAGUE = json.dumps({
+    "collaboration_required": True,
+    "requirement": [{"request_detail": "help", "request_id": "0001",
+                     "worker_id": "Worker_9"}]})
 
 
 def _build_table():

@@ -1,9 +1,13 @@
 import json
 import math
+from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brainstem import harness
+from brainstem.backends import ScriptedBackend
 from brainstem.cli import main
 from brainstem.episode import Outcome, TrialResult
 from brainstem.errors import (BackendError, ConfigError, EmptyInput,
@@ -11,6 +15,8 @@ from brainstem.errors import (BackendError, ConfigError, EmptyInput,
 from brainstem.harness import (BenchConfig, EvalBatch, aggregate, emit_report,
                                load_reference_tables, reference_aggregates,
                                run_bench)
+from brainstem.simenv import TASK_IDS
+from support import UNKNOWN_COLLEAGUE
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -235,6 +241,56 @@ def test_malformed_reply_ends_trials_not_the_batch(monkeypatch):
     assert EvalBatch.from_doc(batch.to_doc()).to_doc() == batch.to_doc()
 
 
+class FaultyBackend(ScriptedBackend):
+    """The scripted backend, counting its calls per role, except that the
+    ``call``-th call for ``role`` raises ``BackendError`` (when ``fault`` is
+    that class) or replies ``fault``."""
+
+    def __init__(self, role=None, call=0, fault=None):
+        super().__init__()
+        self.role, self.call, self.fault = role, call, fault
+        self.calls = Counter()
+
+    def complete(self, role, key):
+        self.calls[role] += 1
+        if role == self.role and self.calls[role] == self.call:
+            if self.fault is BackendError:
+                raise BackendError(f"{role} call {self.call} failed")
+            return self.fault
+        return super().complete(role, key)
+
+
+# JSON values that are not objects: scalars and lists, nested a little
+NON_OBJECT_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=4).map(json.dumps)
+FAULTS = st.just(BackendError) | st.just("{not json") | NON_OBJECT_JSON | \
+    st.just("{}")
+FAULTS_BY_ROLE = {"leader": FAULTS, "provider": FAULTS,
+                  "worker": FAULTS | st.just(UNKNOWN_COLLEAGUE)}
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(task_id=st.sampled_from(TASK_IDS), seed=st.integers(0, 3),
+       data=st.data())
+def test_injected_backend_fault_ends_its_trial_classified(task_id, seed, data):
+    # the fault goes into one of the first two calls a role gets in the
+    # fault-free trial, so that it fires
+    clean = FaultyBackend()
+    harness.run_trial(task_id, seed, backend=clean)
+    role = data.draw(st.sampled_from(sorted(clean.calls)))
+    call = data.draw(st.integers(1, min(2, clean.calls[role])))
+    backend = FaultyBackend(role, call, data.draw(FAULTS_BY_ROLE[role]))
+    with mock.patch.object(harness, "_make_backend", lambda config: backend):
+        batch = run_bench(small_config(tasks=(task_id,), trials_per_eval=1,
+                                       evals=1, base_seed=seed))
+    [trial] = batch.trials
+    assert trial.outcome is Outcome.HANDLED_ABORT
+    assert trial.detail.startswith(("backend: ", "malformed reply: "))
+    restored = EvalBatch.from_doc(batch.to_doc())
+    assert (restored.trials, restored.rows) == (batch.trials, batch.rows)
+
+
 # -- reports -------------------------------------------------------------------
 
 def test_all_100_formats_as_100_pm_0():
@@ -305,7 +361,6 @@ def test_cli_json_report_loads_back_as_the_same_trials(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["run", "--ratios", "1,0,1000"],
     ["run", "--task", "3,x"],
-    ["run", "--seconds-per-tick", "-0.001"],
     ["report", "--input", "{tmp}/missing.json"],
     ["report", "--input", "{tmp}/no_mode.json"],
     ["report", "--input", "{tmp}/not_json.txt"],
@@ -322,7 +377,7 @@ def test_cli_json_report_loads_back_as_the_same_trials(tmp_path, capsys):
     ["aggregate", "--input", "{tmp}/infinity.json"],
     ["run", "--task", "1,1", "--trials", "1", "--evals", "1"],
     ["report", "--input", "{tmp}/rows_not_trials.json"],
-], ids=["ratios", "task", "seconds_per_tick", "report_missing",
+], ids=["ratios", "task", "report_missing",
         "report_no_mode", "report_not_json", "aggregate_missing",
         "out_under_file", "aggregate_list", "aggregate_strings",
         "report_no_seeds", "report_avg_string", "report_evals_string",

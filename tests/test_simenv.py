@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -215,6 +216,80 @@ def test_random_walk_symbols_are_model_states(task_id):
             if check_success(scenario, world):
                 break
         assert set(reached) <= states, (seed, set(reached) - states)
+
+
+def world_key(world):
+    """What an action can change in a world: everything but the clock."""
+    return repr((sorted(world.objects.items()), sorted(
+        (k, sorted(v.items())) for k, v in world.containers.items()),
+        sorted(world.gripper.items()), sorted(world.marks)))
+
+
+def rules_distribution(scenario, world, action):
+    """(next-symbol distribution, world after success or None) of ``action``
+    under the scenario's world rules."""
+    symbol = scenario.symbol_of(world)
+    rule = scenario.rules[action]
+    if rule.precondition(world) is not None:
+        return Counter({symbol: 1.0}), None
+    p = rule.success_prob(world)
+    after = world.clone()
+    rule.effect(after)
+    dist = Counter({symbol: 1.0 - p})
+    dist[scenario.symbol_of(after)] += p
+    return dist, after if p > 0 else None
+
+
+def model_distribution(scenario, symbol, action):
+    """Next-symbol distribution of ``action`` in the declared model; an
+    action the model declares nothing for leaves the symbol unchanged."""
+    dist = Counter()
+    for name, p, nxt in scenario.model.transitions.get(symbol, ()):
+        if name == action:
+            dist[nxt] += p
+    return dist or Counter({symbol: 1.0})
+
+
+def belief_disagreements(task_id, seed):
+    """(symbol, action) pairs where the declared model and the world rules
+    give different next-symbol distributions, over every world reachable by
+    successful actions from the task's start. Scheduled events are left out
+    and goal worlds are not expanded."""
+    scenario, world = load_scenario(task_id, seed)
+    frontier, seen, found = [world], {world_key(world)}, set()
+    while frontier:
+        world = frontier.pop()
+        symbol = scenario.symbol_of(world)
+        if scenario.model.is_goal(symbol):
+            continue
+        for action in scenario.action_vocab:
+            rules, after = rules_distribution(scenario, world, action)
+            model = model_distribution(scenario, symbol, action)
+            if any(abs(rules[s] - model[s]) > 1e-9
+                   for s in rules.keys() | model.keys()):
+                found.add((symbol, action))
+            if after is not None and world_key(after) not in seen:
+                seen.add(world_key(after))
+                frontier.append(after)
+    return found
+
+
+# where the selector's belief differs from the world, per task: task 4's
+# model spreads success over all three ports, and task 7's omits that a look
+# from the right hides the apple again
+BELIEF_DISAGREEMENTS = {
+    (4, "at_ports", "plug port_1"),
+    (4, "at_ports", "plug port_2"),
+    (4, "at_ports", "plug port_3"),
+    (7, "apple_visible", "look from right"),
+}
+
+
+def test_model_differs_from_world_rules_only_where_declared():
+    found = {(task_id, symbol, action)
+             for task_id in TASK_IDS for seed in range(2)
+             for symbol, action in belief_disagreements(task_id, seed)}
+    assert found == BELIEF_DISAGREEMENTS
 
 
 def test_observation_never_reveals_hidden():
