@@ -21,8 +21,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import (DimensionMismatch, SchemaViolation, UnknownModality,
-                     UnknownWorker)
+from .errors import DimensionMismatch, SchemaViolation, UnknownModality
 from .protocol import (PayloadKind, collaboration_decision_problems,
                        decomposition_plan_problems, validate_schema)
 
@@ -225,7 +224,7 @@ class ProviderResponse:
 def _parse_json(text: str, what: str) -> object:
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # or nested too deep
         raise SchemaViolation(f"{what}: backend returned malformed JSON ({exc})") \
             from None
 
@@ -247,7 +246,7 @@ def worker_reflect(subtask: Mapping, colleague_db: Mapping, backend
     decision = CollaborationDecision.from_doc(_parse_json(text, "decision"))
     for request in decision.requirement:
         if request["worker_id"] not in colleague_db:
-            raise UnknownWorker(
+            raise SchemaViolation(
                 f"{request['worker_id']!r} is not in the colleague database")
     return decision
 

@@ -25,11 +25,12 @@ each provider response (``AgentResponse``) and each finished action
 waits in a queue; its audit log is the episode's record of them.
 
 A backend error while planning ends the trial as ``HandledAbort`` at that
-tick, detail ``backend: <message>``. So does a malformed reply (a
-``SchemaViolation`` or ``UnknownWorker`` from a plan, a worker's reflection, a
-provider response or the plan's worker check), detail ``malformed reply:
-<message>``. The episode's own errors, such as ``make_envelope``'s, still
-raise.
+tick, detail ``backend: <message>``. So does a malformed reply, detail
+``malformed reply: <message>``: any ``SchemaViolation`` from a plan, a
+worker's reflection, a provider response or the registry's check that every
+subtask goes to an active registered worker. A reply nested too deeply to
+parse is malformed JSON. The episode's own errors, such as
+``make_envelope``'s, still raise.
 
 The reactive controller still runs on every tick, with zeros for every input,
 although no decision reads its output. It is over nine tenths of an episode's
@@ -56,8 +57,7 @@ import numpy as np
 from .agents import EMBED_DIM, plan_mission, provider_execute, worker_reflect
 from .backends import ScriptedBackend
 from .bus import MessageBus
-from .errors import (BackendError, ConfigError, EmptyActionSet,
-                     SchemaViolation, UnknownWorker)
+from .errors import BackendError, ConfigError, EmptyActionSet, SchemaViolation
 from .pipeline import RateConfig, ReviewDecision, run_scheduler, state_review
 from .planner import generate_state_tree, select_action
 from .protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
@@ -189,7 +189,7 @@ class EpisodeRuntime:
                 self.done = Outcome.HANDLED_ABORT
                 self.detail = f"backend: {exc}"
                 return
-            except (SchemaViolation, UnknownWorker) as exc:
+            except SchemaViolation as exc:
                 self.done = Outcome.HANDLED_ABORT
                 self.detail = f"malformed reply: {exc}"
                 return

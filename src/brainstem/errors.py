@@ -45,14 +45,6 @@ class DuplicateId(BrainstemError):
     """Registration with an agent id that is already active."""
 
 
-class UnknownWorker(BrainstemError):
-    """A plan or request references a worker id absent from the registry."""
-
-
-class DuplicateAssignment(BrainstemError):
-    """A decomposition plan assigns more than one subtask to the same worker."""
-
-
 class NotFailed(BrainstemError):
     """Re-initialization requested for an agent that has not failed."""
 

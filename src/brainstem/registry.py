@@ -9,8 +9,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
-from .errors import (DuplicateAssignment, DuplicateId, IoError, NotFailed,
-                     SchemaViolation, UnknownWorker)
+from .errors import DuplicateId, IoError, NotFailed, SchemaViolation
 from .protocol import Importance
 
 log = logging.getLogger(__name__)
@@ -121,16 +120,18 @@ class AgentRegistry:
         return [agent_id for _, agent_id in sorted(ranked)]
 
     def validate_assignment(self, plan: Mapping) -> Mapping:
-        """Accept a plan iff every worker exists and none appears twice."""
-        seen: set = set()
+        """Accept a plan iff every subtask goes to an active registered worker.
+
+        The plan contract (``decomposition_plan_problems``) already rejects a
+        second subtask for one worker.
+        """
         for subtask in plan["subtasks"]:
             worker = subtask["assigned_worker"]
-            if worker not in self._agents:
-                raise UnknownWorker(f"{worker!r} is not a registered agent")
-            if worker in seen:
-                raise DuplicateAssignment(
-                    f"{worker!r} assigned more than one subtask")
-            seen.add(worker)
+            agent = self._agents.get(worker)
+            if agent is None or agent.role is not Role.WORKER \
+                    or agent.status is not AgentStatus.ACTIVE:
+                raise SchemaViolation(
+                    f"{worker!r} is not an active registered worker")
         return plan
 
     # -- fault tolerance -----------------------------------------------------------

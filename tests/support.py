@@ -15,6 +15,9 @@ UNKNOWN_COLLEAGUE = json.dumps({
     "requirement": [{"request_detail": "help", "request_id": "0001",
                      "worker_id": "Worker_9"}]})
 
+# a reply nested past json.loads' depth limit, where it raises RecursionError
+TOO_DEEP = "[" * 100000
+
 
 def _build_table():
     table = []

@@ -14,7 +14,7 @@ from brainstem.agents import (AgentOutput, ConnectivityMatrix, HashEmbedder,
                               worker_reflect)
 from brainstem.backends import RemoteBackend, ScriptedBackend
 from brainstem.errors import (BackendError, DimensionMismatch, SchemaViolation,
-                              UnknownModality, UnknownWorker)
+                              UnknownModality)
 
 
 def out(agent_id, vector, t=0):
@@ -257,7 +257,7 @@ def test_worker_reflection_self_sufficient_default():
 
 def test_worker_reflection_unknown_colleague_rejected():
     backend = ScriptedBackend()
-    with pytest.raises(UnknownWorker):
+    with pytest.raises(SchemaViolation):
         worker_reflect({"task_description": "Compile the quarterly sales report"},
                        {"Worker_9": ["x"]}, backend)
 

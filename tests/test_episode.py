@@ -16,7 +16,7 @@ from brainstem.pipeline import ReviewDecision, state_review
 from brainstem.protocol import (PayloadKind, decode_envelope,
                                 serialize_envelope, tick_to_timestamp)
 from brainstem.simenv import TASK_IDS, load_scenario
-from support import UNKNOWN_COLLEAGUE, model_states
+from support import TOO_DEEP, UNKNOWN_COLLEAGUE, model_states
 
 
 def test_full_mode_solves_physical_task():
@@ -131,6 +131,22 @@ def test_backend_error_on_replan_keeps_its_tick():
 NON_OBJECTS = {"int": "5", "null": "null", "true": "true", "string": '"text"',
                "list": "[1, 2]", "empty_list": "[]"}
 
+# registered agents that are not workers
+NON_WORKERS = ("Leader_1", "Inspector_1", "Planner_1")
+
+# (task, role, document) of a reply each role gives at tick 0: task 6's
+# scripted reflection asks a provider
+FIRST_REPLIES = [(1, "leader", "plan"), (6, "worker", "decision"),
+                 (6, "provider", "response")]
+
+
+def task1_plan_for(agent_id):
+    """Task 1's scripted plan with its one subtask assigned to ``agent_id``."""
+    plan = json.loads(ScriptedBackend().complete(
+        "leader", load_scenario(1, 0)[0].mission))
+    plan["subtasks"][0]["assigned_worker"] = agent_id
+    return json.dumps(plan)
+
 
 @pytest.mark.parametrize("task_id, role, reply, detail", [
     (1, "leader", "{not json",
@@ -141,15 +157,34 @@ NON_OBJECTS = {"int": "5", "null": "null", "true": "true", "string": '"text"',
       for reply in NON_OBJECTS.values()],
     *[(6, "worker", reply, "malformed reply: decision: expected a document")
       for reply in NON_OBJECTS.values()],
+    *[(1, "leader", task1_plan_for(agent_id),
+       f"malformed reply: '{agent_id}' is not an active registered worker")
+      for agent_id in NON_WORKERS],
+    *[(task_id, role, TOO_DEEP,
+       f"malformed reply: {what}: backend returned malformed JSON (")
+      for task_id, role, what in FIRST_REPLIES],
 ], ids=["not_json", "unknown_worker",
         *[f"leader_{name}" for name in NON_OBJECTS],
-        *[f"worker_{name}" for name in NON_OBJECTS]])
+        *[f"worker_{name}" for name in NON_OBJECTS],
+        *[f"plan_assigns_{agent_id}" for agent_id in NON_WORKERS],
+        *[f"{role}_too_deep" for _, role, _ in FIRST_REPLIES]])
 def test_malformed_reply_ends_trial_as_handled_abort(task_id, role, reply,
                                                     detail):
     # task 6's plan is high difficulty, so its first plan asks the workers
     result = run_trial(task_id, 0, backend=ReplyingBackend(role, reply))
     assert (result.outcome, result.ticks_elapsed) == (Outcome.HANDLED_ABORT, 0)
     assert result.detail.startswith(detail)
+
+
+def test_plan_for_a_failed_worker_ends_trial_as_handled_abort():
+    # task 1's scripted plan assigns its one subtask to Worker_3
+    scenario, world = load_scenario(1, 0)
+    runtime = EpisodeRuntime(scenario, world)
+    runtime.registry.mark_failed("Worker_3")
+    result = runtime.run()
+    assert (result.outcome, result.ticks_elapsed, result.detail) == \
+        (Outcome.HANDLED_ABORT, 0,
+         "malformed reply: 'Worker_3' is not an active registered worker")
 
 
 def test_episode_own_schema_violation_still_raises(monkeypatch):

@@ -16,7 +16,7 @@ from brainstem.harness import (BenchConfig, EvalBatch, aggregate, emit_report,
                                load_reference_tables, reference_aggregates,
                                run_bench)
 from brainstem.simenv import TASK_IDS
-from support import UNKNOWN_COLLEAGUE
+from support import TOO_DEEP, UNKNOWN_COLLEAGUE
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -264,9 +264,14 @@ class FaultyBackend(ScriptedBackend):
 NON_OBJECT_JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=3), max_leaves=4).map(json.dumps)
+# a contract-valid plan whose one subtask goes to an agent that is no worker
+INSPECTOR_PLAN = json.dumps({"difficulty": "low", "subtasks": [
+    {"subtask_id": "ST1", "assigned_worker": "Inspector_1",
+     "task_description": "inspect", "focus": ["a", "b", "c"]}]})
 FAULTS = st.just(BackendError) | st.just("{not json") | NON_OBJECT_JSON | \
-    st.just("{}")
-FAULTS_BY_ROLE = {"leader": FAULTS, "provider": FAULTS,
+    st.just("{}") | st.just(TOO_DEEP)
+FAULTS_BY_ROLE = {"leader": FAULTS | st.just(INSPECTOR_PLAN),
+                  "provider": FAULTS,
                   "worker": FAULTS | st.just(UNKNOWN_COLLEAGUE)}
 
 

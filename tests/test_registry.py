@@ -4,8 +4,7 @@ import random
 import pytest
 
 from brainstem.bus import MessageBus
-from brainstem.errors import (DuplicateAssignment, DuplicateId, IoError,
-                              NotFailed, SchemaViolation, UnknownWorker)
+from brainstem.errors import DuplicateId, IoError, NotFailed, SchemaViolation
 from brainstem.protocol import Importance, LogIdAllocator
 from brainstem.registry import AgentDescriptor, AgentRegistry, AgentStatus, Role
 from support import quick_envelope
@@ -80,18 +79,21 @@ def plan(*workers):
     ]}
 
 
-def test_validate_assignment_duplicate_worker(registry):
-    for i in range(1, 6):
-        registry.register_agent(worker(i))
-    with pytest.raises(DuplicateAssignment):
-        registry.validate_assignment(plan("Worker_3", "Worker_3"))
-
-
 def test_validate_assignment_unknown_worker(registry):
     for i in range(1, 6):
         registry.register_agent(worker(i))
-    with pytest.raises(UnknownWorker):
+    with pytest.raises(SchemaViolation):
         registry.validate_assignment(plan("Worker_9"))
+
+
+def test_validate_assignment_rejects_a_failed_worker(registry):
+    for i in range(1, 6):
+        registry.register_agent(worker(i))
+    registry.mark_failed("Worker_3")
+    with pytest.raises(SchemaViolation) as excinfo:
+        registry.validate_assignment(plan("Worker_1", "Worker_3"))
+    assert excinfo.value.problems == [
+        "'Worker_3' is not an active registered worker"]
 
 
 def test_validate_assignment_accepts_distinct_workers(registry):
