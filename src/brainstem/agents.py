@@ -239,15 +239,14 @@ def plan_mission(mission: str, backend) -> DecompositionPlan:
     return DecompositionPlan.from_doc(_parse_json(text, "plan"))
 
 
-def worker_reflect(subtask: Mapping, colleague_db: Mapping, backend
+def worker_reflect(subtask: Mapping, registry, backend
                    ) -> CollaborationDecision:
-    """Self-reflection on a subtask: parsed, contract-valid, colleagues known."""
+    """Self-reflection on a subtask: parsed, contract-valid, and asking only
+    colleagues that ``registry.check_worker`` accepts."""
     text = backend.complete("worker", subtask["task_description"])
     decision = CollaborationDecision.from_doc(_parse_json(text, "decision"))
     for request in decision.requirement:
-        if request["worker_id"] not in colleague_db:
-            raise SchemaViolation(
-                f"{request['worker_id']!r} is not in the colleague database")
+        registry.check_worker(request["worker_id"])
     return decision
 
 

@@ -198,6 +198,7 @@ class RemoteBackend:
     def complete(self, role: str, key) -> str:
         # the network stack loads only when a request is sent, so scripted
         # runs never import it
+        import http.client
         import urllib.error
         import urllib.request
 
@@ -216,7 +217,8 @@ class RemoteBackend:
                 with urllib.request.urlopen(request,
                                             timeout=self.timeout) as reply:
                     return reply.read().decode("utf-8")
-            except (urllib.error.URLError, OSError, ValueError) as exc:
+            except (urllib.error.URLError, http.client.HTTPException,
+                    OSError, ValueError) as exc:
                 last_error = exc
         raise BackendError(f"remote backend failed after {self.retries} "
                            f"attempts: {last_error}")

@@ -25,12 +25,14 @@ each provider response (``AgentResponse``) and each finished action
 waits in a queue; its audit log is the episode's record of them.
 
 A backend error while planning ends the trial as ``HandledAbort`` at that
-tick, detail ``backend: <message>``. So does a malformed reply, detail
-``malformed reply: <message>``: any ``SchemaViolation`` from a plan, a
-worker's reflection, a provider response or the registry's check that every
-subtask goes to an active registered worker. A reply nested too deeply to
-parse is malformed JSON. The episode's own errors, such as
-``make_envelope``'s, still raise.
+tick, detail ``backend: <message>`` (a remote reply that breaks HTTP counts
+as one). So does a malformed reply, detail ``malformed reply: <message>``: any
+``SchemaViolation`` from a plan, a worker's reflection, a provider response
+or the registry's roster check (``AgentRegistry.check_worker``), which
+accepts only an active registered worker for each subtask a plan assigns and
+each colleague a reflection asks. A reply nested too deeply to parse is
+malformed JSON. The episode's own errors, such as ``make_envelope``'s, still
+raise.
 
 The reactive controller still runs on every tick, with zeros for every input,
 although no decision reads its output. It is over nine tenths of an episode's
@@ -214,7 +216,7 @@ class EpisodeRuntime:
         if self.plan.difficulty != "high":
             return messages
         for subtask in self.plan.subtasks:
-            decision = worker_reflect(subtask, WORKER_EXPERTISE, self.backend)
+            decision = worker_reflect(subtask, self.registry, self.backend)
             if not decision.collaboration_required:
                 continue
             for request in decision.requirement:

@@ -119,6 +119,18 @@ class AgentRegistry:
                     ranked.append((-overlap, agent.agent_id))
         return [agent_id for _, agent_id in sorted(ranked)]
 
+    def check_worker(self, agent_id: str) -> None:
+        """Raise SchemaViolation unless ``agent_id`` is an active worker.
+
+        The one roster rule: it decides both which workers a plan may assign
+        and which colleagues a worker's reflection may ask.
+        """
+        agent = self._agents.get(agent_id)
+        if agent is None or agent.role is not Role.WORKER \
+                or agent.status is not AgentStatus.ACTIVE:
+            raise SchemaViolation(
+                f"{agent_id!r} is not an active registered worker")
+
     def validate_assignment(self, plan: Mapping) -> Mapping:
         """Accept a plan iff every subtask goes to an active registered worker.
 
@@ -126,12 +138,7 @@ class AgentRegistry:
         second subtask for one worker.
         """
         for subtask in plan["subtasks"]:
-            worker = subtask["assigned_worker"]
-            agent = self._agents.get(worker)
-            if agent is None or agent.role is not Role.WORKER \
-                    or agent.status is not AgentStatus.ACTIVE:
-                raise SchemaViolation(
-                    f"{worker!r} is not an active registered worker")
+            self.check_worker(subtask["assigned_worker"])
         return plan
 
     # -- fault tolerance -----------------------------------------------------------

@@ -9,11 +9,16 @@ from brainstem.protocol import (Importance, LogIdAllocator, MessageHeader, Paylo
                                 PayloadKind, make_envelope, tick_to_timestamp)
 
 
+def reflection_asking(agent_id: str) -> str:
+    """A worker reply that asks ``agent_id`` for help."""
+    return json.dumps({
+        "collaboration_required": True,
+        "requirement": [{"request_detail": "help", "request_id": "0001",
+                         "worker_id": agent_id}]})
+
+
 # a worker reply that asks a colleague the roster does not have
-UNKNOWN_COLLEAGUE = json.dumps({
-    "collaboration_required": True,
-    "requirement": [{"request_detail": "help", "request_id": "0001",
-                     "worker_id": "Worker_9"}]})
+UNKNOWN_COLLEAGUE = reflection_asking("Worker_9")
 
 # a reply nested past json.loads' depth limit, where it raises RecursionError
 TOO_DEEP = "[" * 100000

@@ -15,6 +15,8 @@ from brainstem.agents import (AgentOutput, ConnectivityMatrix, HashEmbedder,
 from brainstem.backends import RemoteBackend, ScriptedBackend
 from brainstem.errors import (BackendError, DimensionMismatch, SchemaViolation,
                               UnknownModality)
+from brainstem.registry import AgentDescriptor, AgentRegistry, Role
+from support import UNKNOWN_COLLEAGUE
 
 
 def out(agent_id, vector, t=0):
@@ -235,12 +237,19 @@ def test_scripted_backend_deterministic():
         backend.complete("leader", "grab cube from cabinet")
 
 
+def five_workers() -> AgentRegistry:
+    registry = AgentRegistry()
+    for i in range(1, 6):
+        registry.register_agent(
+            AgentDescriptor(f"Worker_{i}", Role.WORKER, ("x",)))
+    return registry
+
+
 def test_worker_reflection_contract_example():
     backend = ScriptedBackend()
-    colleagues = {f"Worker_{i}": ["x"] for i in range(1, 6)}
     decision = worker_reflect(
         {"task_description": "Compile the quarterly sales report"},
-        colleagues, backend)
+        five_workers(), backend)
     assert decision.collaboration_required
     first = decision.requirement[0]
     assert first["request_id"] == "0001"
@@ -250,16 +259,21 @@ def test_worker_reflection_contract_example():
 
 def test_worker_reflection_self_sufficient_default():
     decision = worker_reflect({"task_description": "polish the table"},
-                              {"Worker_1": ["x"]}, ScriptedBackend())
+                              five_workers(), ScriptedBackend())
     assert not decision.collaboration_required
     assert decision.requirement == ()
 
 
+class UnknownColleagueBackend:
+    def complete(self, role, key):
+        return UNKNOWN_COLLEAGUE
+
+
 def test_worker_reflection_unknown_colleague_rejected():
-    backend = ScriptedBackend()
-    with pytest.raises(SchemaViolation):
+    with pytest.raises(SchemaViolation,
+                       match="'Worker_9' is not an active registered worker"):
         worker_reflect({"task_description": "Compile the quarterly sales report"},
-                       {"Worker_9": ["x"]}, backend)
+                       five_workers(), UnknownColleagueBackend())
 
 
 def test_provider_contract_example():

@@ -2,11 +2,13 @@
 
 import http.server
 import json
+import socketserver
 import threading
 
 import pytest
 
 from brainstem.backends import RemoteBackend
+from brainstem.episode import Outcome, run_trial
 from brainstem.errors import BackendError
 
 
@@ -71,3 +73,61 @@ def test_from_env_refuses_a_bad_timeout(timeout):
                "BRAINSTEM_BACKEND_TIMEOUT": timeout}
     with pytest.raises(BackendError, match="BRAINSTEM_BACKEND_TIMEOUT"):
         RemoteBackend.from_env(environ)
+
+
+# replies that break HTTP itself, each raising its own http.client error:
+# BadStatusLine, IncompleteRead (a body shorter than its Content-Length) and
+# LineTooLong (a header line past http.client's 64 KiB limit)
+BROKEN_REPLIES = {
+    "bad_status_line": b"HELLO\r\n\r\n",
+    "incomplete_read": b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nok",
+    "line_too_long": b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70_000
+                     + b"\r\n\r\n",
+}
+
+
+class _RawEndpoint(socketserver.StreamRequestHandler):
+    """Reads one request, writes the server's raw ``reply`` bytes, closes."""
+
+    def handle(self):
+        self.server.requests += 1
+        length = 0
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        self.rfile.read(length)
+        self.wfile.write(self.server.reply)
+
+
+@pytest.fixture(params=list(BROKEN_REPLIES.values()),
+                ids=list(BROKEN_REPLIES))
+def broken_endpoint(request):
+    server = socketserver.TCPServer(("127.0.0.1", 0), _RawEndpoint)
+    server.reply, server.requests = request.param, 0
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+def url_of(server):
+    return f"http://127.0.0.1:{server.server_address[1]}/complete"
+
+
+def test_http_protocol_error_is_retried_then_a_backend_error(broken_endpoint):
+    backend = RemoteBackend(url_of(broken_endpoint), retries=2, backoff=0,
+                            timeout=5.0)
+    with pytest.raises(BackendError, match="failed after 2 attempts"):
+        backend.complete("leader", "walk to the desk")
+    assert broken_endpoint.requests == 2
+
+
+def test_http_protocol_error_ends_the_trial_not_the_batch(broken_endpoint):
+    backend = RemoteBackend(url_of(broken_endpoint), retries=1, backoff=0,
+                            timeout=5.0)
+    result = run_trial(1, 0, backend=backend)
+    assert (result.outcome, result.ticks_elapsed) == (Outcome.HANDLED_ABORT, 0)
+    assert result.detail.startswith(
+        "backend: remote backend failed after 1 attempts: ")

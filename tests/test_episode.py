@@ -16,7 +16,8 @@ from brainstem.pipeline import ReviewDecision, state_review
 from brainstem.protocol import (PayloadKind, decode_envelope,
                                 serialize_envelope, tick_to_timestamp)
 from brainstem.simenv import TASK_IDS, load_scenario
-from support import TOO_DEEP, UNKNOWN_COLLEAGUE, model_states
+from support import (TOO_DEEP, UNKNOWN_COLLEAGUE, model_states,
+                     reflection_asking)
 
 
 def test_full_mode_solves_physical_task():
@@ -152,12 +153,15 @@ def task1_plan_for(agent_id):
     (1, "leader", "{not json",
      "malformed reply: plan: backend returned malformed JSON ("),
     (6, "worker", UNKNOWN_COLLEAGUE,
-     "malformed reply: 'Worker_9' is not in the colleague database"),
+     "malformed reply: 'Worker_9' is not an active registered worker"),
     *[(1, "leader", reply, "malformed reply: plan: expected a document")
       for reply in NON_OBJECTS.values()],
     *[(6, "worker", reply, "malformed reply: decision: expected a document")
       for reply in NON_OBJECTS.values()],
     *[(1, "leader", task1_plan_for(agent_id),
+       f"malformed reply: '{agent_id}' is not an active registered worker")
+      for agent_id in NON_WORKERS],
+    *[(6, "worker", reflection_asking(agent_id),
        f"malformed reply: '{agent_id}' is not an active registered worker")
       for agent_id in NON_WORKERS],
     *[(task_id, role, TOO_DEEP,
@@ -167,6 +171,7 @@ def task1_plan_for(agent_id):
         *[f"leader_{name}" for name in NON_OBJECTS],
         *[f"worker_{name}" for name in NON_OBJECTS],
         *[f"plan_assigns_{agent_id}" for agent_id in NON_WORKERS],
+        *[f"reflection_asks_{agent_id}" for agent_id in NON_WORKERS],
         *[f"{role}_too_deep" for _, role, _ in FIRST_REPLIES]])
 def test_malformed_reply_ends_trial_as_handled_abort(task_id, role, reply,
                                                     detail):
@@ -176,15 +181,20 @@ def test_malformed_reply_ends_trial_as_handled_abort(task_id, role, reply,
     assert result.detail.startswith(detail)
 
 
-def test_plan_for_a_failed_worker_ends_trial_as_handled_abort():
-    # task 1's scripted plan assigns its one subtask to Worker_3
-    scenario, world = load_scenario(1, 0)
+@pytest.mark.parametrize("task_id, agent_id", [(1, "Worker_3"),
+                                               (6, "Worker_1")],
+                         ids=["plan", "reflection"])
+def test_failed_worker_ends_trial_as_handled_abort(task_id, agent_id):
+    # task 1's scripted plan assigns its one subtask to Worker_3; task 6's
+    # scripted reflection asks Worker_1 for help
+    scenario, world = load_scenario(task_id, 0)
     runtime = EpisodeRuntime(scenario, world)
-    runtime.registry.mark_failed("Worker_3")
+    runtime.registry.mark_failed(agent_id)
     result = runtime.run()
     assert (result.outcome, result.ticks_elapsed, result.detail) == \
         (Outcome.HANDLED_ABORT, 0,
-         "malformed reply: 'Worker_3' is not an active registered worker")
+         f"malformed reply: '{agent_id}' is not an active registered worker")
+    assert runtime.bus.audit_log() == []
 
 
 def test_episode_own_schema_violation_still_raises(monkeypatch):
