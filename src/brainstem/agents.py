@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, SchemaViolation, UnknownModality
 from .protocol import (PayloadKind, collaboration_decision_problems,
-                       decomposition_plan_problems, validate_schema)
+                       decomposition_plan_problems, parse_json,
+                       validate_schema)
 
 EMBED_DIM = 16
 INSPECT_THRESHOLD = 0.5
@@ -221,14 +222,6 @@ class ProviderResponse:
     response: str
 
 
-def _parse_json(text: str, what: str) -> object:
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:  # or nested too deep
-        raise SchemaViolation(f"{what}: backend returned malformed JSON ({exc})") \
-            from None
-
-
 def plan_mission(mission: str, backend) -> DecompositionPlan:
     """Leader decomposition: the validated plan.
 
@@ -236,7 +229,7 @@ def plan_mission(mission: str, backend) -> DecompositionPlan:
     annotations included, before anything downstream sees it.
     """
     text = backend.complete("leader", mission)
-    return DecompositionPlan.from_doc(_parse_json(text, "plan"))
+    return DecompositionPlan.from_doc(parse_json(text, "plan"))
 
 
 def worker_reflect(subtask: Mapping, registry, backend
@@ -244,7 +237,7 @@ def worker_reflect(subtask: Mapping, registry, backend
     """Self-reflection on a subtask: parsed, contract-valid, and asking only
     colleagues that ``registry.check_worker`` accepts."""
     text = backend.complete("worker", subtask["task_description"])
-    decision = CollaborationDecision.from_doc(_parse_json(text, "decision"))
+    decision = CollaborationDecision.from_doc(parse_json(text, "decision"))
     for request in decision.requirement:
         registry.check_worker(request["worker_id"])
     return decision
@@ -253,6 +246,6 @@ def worker_reflect(subtask: Mapping, registry, backend
 def provider_execute(request: Mapping, backend) -> ProviderResponse:
     """Execute a colleague-requested subtask and certify the result."""
     text = backend.complete("provider", request["request_detail"])
-    doc = _parse_json(text, "response")
+    doc = parse_json(text, "response")
     validate_schema(PayloadKind.AGENT_RESPONSE, doc)
     return ProviderResponse(doc["response"])

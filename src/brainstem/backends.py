@@ -116,10 +116,12 @@ WORKER_REFLECTIONS = {
 }
 
 PROVIDER_RESPONSES = {
-    "Verify statistical significance (p<0.05) in dataset A/B groups":
-        "Statistical analysis reveals a significant difference between groups "
-        "A and B (p=0.032 < 0.05), with group A showing a higher mean value "
-        "of 42.7 compared to group B's 38.1",
+    "Verify statistical significance (p<0.05) in dataset A/B groups": {
+        "response": "Statistical analysis reveals a significant difference "
+                    "between groups A and B (p=0.032 < 0.05), with group A "
+                    "showing a higher mean value of 42.7 compared to group "
+                    "B's 38.1",
+    },
 }
 
 SELF_SUFFICIENT = {"collaboration_required": False, "requirement": []}
@@ -156,8 +158,6 @@ class ScriptedBackend:
                                  "Findings consistent with expectations."}
         else:
             raise BackendError(f"no scripted entry for ({role!r}, {key!r})")
-        if role == "provider" and isinstance(value, str):
-            value = {"response": value}
         return json.dumps(value, sort_keys=True)
 
 

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .episode import MODES, EpisodeConfig
 from .errors import BrainstemError, ConfigError, IoError, SchemaViolation
 from .harness import (BACKENDS, BenchConfig, EvalBatch, aggregate, emit_report,
                       reference_aggregates, run_bench)
-from .protocol import is_finite_number
+from .protocol import is_finite_number, parse_json
 from .simenv import TASK_IDS
 
 
@@ -27,11 +26,12 @@ def _parse_tasks(text: str) -> tuple:
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:
-        raise SchemaViolation(f"{path}: malformed JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaViolation(f"{path}: not UTF-8 ({exc})") from None
+    return parse_json(text, path)
 
 
 def _parse_ratios(text: str) -> tuple:

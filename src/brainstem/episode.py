@@ -36,12 +36,13 @@ raise.
 
 The reactive controller still runs on every tick, with zeros for every input,
 although no decision reads its output. It is over nine tenths of an episode's
-time (13-16x per pass of the traced grids without it), and it stays until
-``perfbench``'s traced runs are bounded for a program that much faster:
-without it, ``--trace 1`` needs ~300-360 untraced rounds instead of ~24 and
-takes ~3 minutes instead of ~1. The Bayes filter, the HTN DAG, the latent
-relay, the episodic memory with its broadcast, multimodal fusion and the
-inspector's drift check are library units (``estimator.forward_filter``,
+time (a pass of the traced grids takes 1.07-1.10 s with it and 0.060-0.061 s
+without, ~18x), and it stays until ``perfbench``'s traced runs are bounded
+for a program that much faster: without it, ``--trace 1`` needs 697-765
+untraced rounds instead of 43-44 and takes 231-267 s instead of 62-63 s. The
+Bayes filter, the HTN DAG, the latent relay, the episodic memory with its
+broadcast, multimodal fusion and the inspector's drift check are library
+units (``estimator.forward_filter``,
 ``planner.build_htn_dag``, ``pipeline.relay_update``,
 ``memory.memory_update``, ``agents.fuse_observations``,
 ``agents.inspect_alignment``) that the episode does not call.

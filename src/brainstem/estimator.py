@@ -231,26 +231,3 @@ def params_to_text(params: DbnParams) -> str:
     for row in params.emission:
         lines.append(" ".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def params_from_text(text: str) -> DbnParams:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    n, m = int(head[1]), int(head[3])
-    transition = {}
-    emission = None
-    i = 1
-    while i < len(lines):
-        token = lines[i].split()
-        if token[0] == "transition":
-            action = " ".join(token[1:])
-            block = [[float(v) for v in lines[i + 1 + r].split()] for r in range(n)]
-            transition[action] = np.array(block)
-            i += 1 + n
-        elif token[0] == "emission":
-            block = [[float(v) for v in lines[i + 1 + r].split()] for r in range(n)]
-            emission = np.array(block)
-            i += 1 + n
-        else:
-            raise ValueError(f"unexpected line {lines[i]!r}")
-    return DbnParams(transition=transition, emission=emission)

@@ -10,7 +10,6 @@ and selects the next action by discounted expected-value backup.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -147,19 +146,6 @@ def _node_problems(doc, where: str, layer: int, vocab, problems: list) -> None:
         problems.append(f"{where}.transitions: sibling probabilities sum to 0")
 
 
-def state_tree_problems(doc, action_vocab: Optional[Iterable[str]] = None) -> list:
-    """Violations of the state-tree contract; empty list when valid.
-
-    Accepts either the wrapped form ``{"next_state": node}`` or a bare node.
-    """
-    vocab = set(action_vocab) if action_vocab is not None else None
-    if isinstance(doc, dict) and set(doc) == {"next_state"}:
-        doc = doc["next_state"]
-    problems: list = []
-    _node_problems(doc, "next_state", 1, vocab, problems)
-    return problems
-
-
 def _build_node(doc: dict) -> StateNode:
     transitions = doc["transitions"]
     total = sum(tr["probability"] for tr in transitions)
@@ -175,20 +161,18 @@ def _build_node(doc: dict) -> StateNode:
 
 def validate_state_tree(document,
                         action_vocab: Optional[Iterable[str]] = None) -> StateTree:
-    """Parse and check a state-tree document, renormalizing probabilities.
+    """Check a state-tree document, renormalizing probabilities.
 
+    Accepts either the wrapped form ``{"next_state": node}`` or a bare node.
     Raises SchemaViolation enumerating every violation found.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except ValueError as exc:
-            raise SchemaViolation(f"tree: malformed JSON ({exc})") from None
-    problems = state_tree_problems(document, action_vocab)
-    if problems:
-        raise SchemaViolation(problems)
     if isinstance(document, dict) and set(document) == {"next_state"}:
         document = document["next_state"]
+    vocab = set(action_vocab) if action_vocab is not None else None
+    problems: list = []
+    _node_problems(document, "next_state", 1, vocab, problems)
+    if problems:
+        raise SchemaViolation(problems)
     return StateTree(root=_build_node(document))
 
 

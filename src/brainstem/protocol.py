@@ -14,6 +14,10 @@ each with one schema.
 - ``AgentResponse``: a provider's certified result (``episode``).
 - ``ActionFeedback``: the outcome of a finished action (``episode``).
 - ``HtnMemory``: an episodic-memory snapshot (``memory.broadcast_memory``).
+
+Documents that need only be JSON, such as backend replies and CLI input
+files, are read by :func:`parse_json`, which reports any malformed one
+(nested too deeply included) as ``SchemaViolation``.
 """
 
 from __future__ import annotations
@@ -134,6 +138,19 @@ class LogIdAllocator:
 
 
 # ---------------------------------------------------------------------------
+# reading outside documents
+# ---------------------------------------------------------------------------
+
+def parse_json(text: str, what: str) -> Any:
+    """The JSON document ``text``; ``SchemaViolation`` naming ``what`` when
+    it is malformed or nested too deeply to parse."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaViolation(f"{what}: malformed JSON ({exc})") from None
+
+
+# ---------------------------------------------------------------------------
 # canonical bytes and checksum
 # ---------------------------------------------------------------------------
 
@@ -165,6 +182,16 @@ def _assert_finite(doc: Any, path: str = "") -> None:
             _assert_finite(value, f"{path}[{i}]")
 
 
+def _dump(doc: Any) -> bytes:
+    """Canonical bytes: sorted keys, no whitespace, UTF-8, finite numbers."""
+    try:
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=False, allow_nan=False)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise CanonicalizationError(str(exc)) from None
+    return text.encode("utf-8")
+
+
 def canonicalize(header: MessageHeader | dict, payload: Payload | dict,
                  log_id: str | None = None) -> bytes:
     """Deterministic byte encoding of a message's checksummed content.
@@ -177,13 +204,11 @@ def canonicalize(header: MessageHeader | dict, payload: Payload | dict,
     doc = {"header": header_doc, "payload": payload_doc}
     if log_id is not None:
         doc["log_id"] = log_id
-    _assert_finite(doc)
     try:
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                          ensure_ascii=False, allow_nan=False)
-    except (TypeError, ValueError) as exc:
+        _assert_finite(doc)
+    except RecursionError as exc:
         raise CanonicalizationError(str(exc)) from None
-    return text.encode("utf-8")
+    return _dump(doc)
 
 
 def compute_checksum(data: bytes) -> str:
@@ -214,12 +239,7 @@ def serialize_envelope(envelope: Envelope) -> bytes:
         "checksum": envelope.checksum,
         "log_id": envelope.log_id,
     }
-    try:
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                          ensure_ascii=False, allow_nan=False)
-    except (TypeError, ValueError) as exc:
-        raise CanonicalizationError(str(exc)) from None
-    return text.encode("utf-8")
+    return _dump(doc)
 
 
 def _structural_problems(doc: Any) -> str | None:
@@ -260,7 +280,7 @@ def decode_envelope(data: bytes) -> Envelope:
     try:
         doc = json.loads(text, parse_constant=_reject_constant,
                          object_pairs_hook=_reject_repeated_keys)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # or nested too deeply
         raise ParseError(f"malformed document: {exc}") from None
 
     problem = _structural_problems(doc)

@@ -151,7 +151,7 @@ def task1_plan_for(agent_id):
 
 @pytest.mark.parametrize("task_id, role, reply, detail", [
     (1, "leader", "{not json",
-     "malformed reply: plan: backend returned malformed JSON ("),
+     "malformed reply: plan: malformed JSON ("),
     (6, "worker", UNKNOWN_COLLEAGUE,
      "malformed reply: 'Worker_9' is not an active registered worker"),
     *[(1, "leader", reply, "malformed reply: plan: expected a document")
@@ -165,7 +165,7 @@ def task1_plan_for(agent_id):
        f"malformed reply: '{agent_id}' is not an active registered worker")
       for agent_id in NON_WORKERS],
     *[(task_id, role, TOO_DEEP,
-       f"malformed reply: {what}: backend returned malformed JSON (")
+       f"malformed reply: {what}: malformed JSON (")
       for task_id, role, what in FIRST_REPLIES],
 ], ids=["not_json", "unknown_worker",
         *[f"leader_{name}" for name in NON_OBJECTS],

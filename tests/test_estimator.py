@@ -3,8 +3,7 @@ import pytest
 
 from brainstem.errors import DimensionMismatch
 from brainstem.estimator import (BeliefState, DbnParams, em_reestimate,
-                                 forward_filter, params_from_text, params_to_text,
-                                 predict_state, random_params,
+                                 forward_filter, predict_state, random_params,
                                  sequence_log_likelihood)
 from support import enumerated_beliefs
 
@@ -159,16 +158,6 @@ def test_row_stochastic_enforced():
     with pytest.raises(ValueError):
         DbnParams(transition={"a": np.eye(2)},
                   emission=np.array([[1.1, -0.1], [0.5, 0.5]]))
-
-
-def test_params_text_round_trip():
-    rng = np.random.default_rng(5)
-    params = random_params(3, 4, ["go", "stop"], rng)
-    restored = params_from_text(params_to_text(params))
-    for action in params.transition:
-        assert np.array_equal(restored.transition[action],
-                              params.transition[action])
-    assert np.array_equal(restored.emission, params.emission)
 
 
 def test_loglik_helper_matches_em_trace():

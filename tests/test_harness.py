@@ -382,12 +382,17 @@ def test_cli_json_report_loads_back_as_the_same_trials(tmp_path, capsys):
     ["aggregate", "--input", "{tmp}/infinity.json"],
     ["run", "--task", "1,1", "--trials", "1", "--evals", "1"],
     ["report", "--input", "{tmp}/rows_not_trials.json"],
+    ["report", "--input", "{tmp}/too_deep.json"],
+    ["aggregate", "--input", "{tmp}/too_deep.json"],
+    ["report", "--input", "{tmp}/not_utf8.json"],
+    ["aggregate", "--input", "{tmp}/not_utf8.json"],
 ], ids=["ratios", "task", "report_missing",
         "report_no_mode", "report_not_json", "aggregate_missing",
         "out_under_file", "aggregate_list", "aggregate_strings",
         "report_no_seeds", "report_avg_string", "report_evals_string",
         "report_avg_nan", "aggregate_nan", "aggregate_infinity",
-        "task_duplicate", "report_rows_not_trials"])
+        "task_duplicate", "report_rows_not_trials", "report_too_deep",
+        "aggregate_too_deep", "report_not_utf8", "aggregate_not_utf8"])
 def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "no_mode.json").write_text(json.dumps(
         {"config_digest": "x", "seeds": [], "rows": [], "trials": []}))
@@ -399,6 +404,8 @@ def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "nan.json").write_text(json.dumps({"a": [math.nan, 1]}))
     (tmp_path / "infinity.json").write_text(json.dumps({"a": [1, math.inf]}))
     (tmp_path / "not_json.txt").write_text("mode: full\n")
+    (tmp_path / "too_deep.json").write_text(TOO_DEEP)
+    (tmp_path / "not_utf8.json").write_bytes(b'{"a": [1\xff]}')
     (tmp_path / "regular_file").write_text("")
     for name, field, value in [("avg_string", "avg", "a"),
                                ("evals_string", "eval_percentages", "x"),
@@ -413,7 +420,7 @@ def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
         batch_doc([0], [(1, "physical", [100.0], {"Failure": 1})],
                   [(1, 0, "Failure")])))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-    assert main(argv) != 0
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
 

@@ -290,7 +290,7 @@ def test_depth_six_backend_output_rejected():
                "transitions": [{"action": "advance", "probability": 1.0,
                                 "next_state": doc}]}
     with pytest.raises(SchemaViolation):
-        validate_state_tree(json.dumps({"next_state": doc}), ["advance"])
+        validate_state_tree({"next_state": doc}, ["advance"])
 
 
 def test_empty_action_set_rejected():

@@ -2,14 +2,16 @@ import ast
 import json
 import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brainstem.errors import (CanonicalizationError, ChecksumMismatch, ParseError,
-                              SchemaViolation)
-from brainstem.protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
+from brainstem.errors import (BrainstemError, CanonicalizationError,
+                              ChecksumMismatch, ParseError, SchemaViolation)
+from brainstem.protocol import (Envelope, Importance, LogIdAllocator,
+                                MessageHeader, Payload,
                                 PayloadKind, canonicalize,
                                 collaboration_decision_problems, compute_checksum,
                                 decode_envelope, decomposition_plan_problems,
@@ -136,6 +138,55 @@ def test_decode_rejects_garbage():
         decode_envelope(b'{"header": {}}')
     with pytest.raises(ParseError):
         decode_envelope(b"\xff\xfe\x00")
+
+
+def nested_wire(depth: int) -> bytes:
+    """A well-formed envelope, with a wrong checksum, whose body holds lists
+    nested ``depth`` deep; text, since json.dumps may not reach that depth."""
+    body = '{"response":' + "[" * depth + "]" * depth + "}"
+    return ('{"checksum":"00000000","header":{"agent_id":"robot_03",'
+            '"importance":"HIGH","timestamp":"2025-05-19T14:23:01Z"},'
+            '"log_id":"MSG_00001","payload":{"body":' + body
+            + ',"kind":"AgentResponse"}}').encode()
+
+
+DEPTHS = range(980, 1011, 2)
+
+
+@pytest.mark.parametrize("wire", [*map(nested_wire, DEPTHS), b"[" * 100000],
+                         ids=[*(f"body_{d}" for d in DEPTHS), "brackets"])
+def test_decode_of_deeply_nested_bytes_is_a_wire_error(wire):
+    # near the interpreter's recursion limit the parse, the finiteness walk
+    # or the canonical dump overflows, depending on the caller's stack
+    with pytest.raises((ChecksumMismatch, ParseError)):
+        decode_envelope(wire)
+
+
+def test_decode_of_a_body_that_parses_then_overflows_is_a_wire_error():
+    # bodies just shallower than the parse limit overflow later, in the
+    # finiteness walk or the canonical dump; the depth moves with the stack
+    for depth in range(900, 980):
+        with pytest.raises((ChecksumMismatch, ParseError)):
+            decode_envelope(nested_wire(depth))
+
+
+def test_canonical_encoders_refuse_a_body_nested_past_the_stack():
+    deep: list = []
+    for _ in range(sys.getrecursionlimit()):
+        deep = [deep]
+    payload = Payload(PayloadKind.AGENT_RESPONSE, {"response": deep})
+    with pytest.raises(CanonicalizationError):
+        canonicalize(header(), payload)
+    with pytest.raises(CanonicalizationError):
+        serialize_envelope(Envelope(header(), payload, "00000000", "MSG_00001"))
+
+
+@given(st.binary())
+def test_decode_of_arbitrary_bytes_is_an_envelope_or_a_classified_error(data):
+    try:
+        assert isinstance(decode_envelope(data), Envelope)
+    except BrainstemError:
+        pass
 
 
 def test_decode_rejects_repeated_key():
