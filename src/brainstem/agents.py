@@ -22,9 +22,9 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, SchemaViolation, UnknownModality
-from .protocol import (PayloadKind, collaboration_decision_problems,
+from .protocol import (collaboration_decision_problems,
                        decomposition_plan_problems, parse_json,
-                       validate_schema)
+                       provider_response_problems)
 
 EMBED_DIM = 16
 INSPECT_THRESHOLD = 0.5
@@ -247,5 +247,7 @@ def provider_execute(request: Mapping, backend) -> ProviderResponse:
     """Execute a colleague-requested subtask and certify the result."""
     text = backend.complete("provider", request["request_detail"])
     doc = parse_json(text, "response")
-    validate_schema(PayloadKind.AGENT_RESPONSE, doc)
+    problems = provider_response_problems(doc)
+    if problems:
+        raise SchemaViolation(problems)
     return ProviderResponse(doc["response"])

@@ -6,6 +6,10 @@ columns per category. Aggregation is arithmetic mean plus sample standard
 deviation (n-1); the shipped reference tables carry four printed averages
 that disagree with their own raw arrays, and the raw arrays are treated as
 ground truth.
+
+A saved batch holds only facts: its config digest, mode, seeds, number of
+evaluation blocks and trials. Each task's row is derived from its trials by
+:func:`task_row`, so no stored row can disagree with them.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from typing import Optional, Sequence
 from .episode import (MODES, EpisodeConfig, Outcome, TrialResult,
                       require_positive_ints, run_trial)
 from .errors import ConfigError, EmptyInput, IoError, SchemaViolation
-from .protocol import is_finite_number
 from .simenv import TASK_IDS, load_scenario
 
 BACKENDS = ("scripted", "remote")
@@ -108,21 +111,9 @@ def task_row(task_id: int, trials: Sequence[TrialResult],
                    dict(Counter(t.outcome.value for t in trials)))
 
 
-_OUTCOMES = frozenset(o.value for o in Outcome)
-_DOC_KEYS = frozenset({"config_digest", "mode", "seeds", "rows", "trials"})
+_DOC_KEYS = frozenset({"config_digest", "mode", "seeds", "evals", "trials"})
 _TRIAL_KEYS = frozenset({"task_id", "seed", "outcome", "ticks_elapsed",
                          "detail"})
-
-
-def _row_ok(row: TaskRow) -> bool:
-    return (type(row.task_id) is int and row.task_id in TASK_IDS
-            and isinstance(row.category, str)
-            and isinstance(row.eval_percentages, list)
-            and all(map(is_finite_number,
-                        [*row.eval_percentages, row.avg, row.std]))
-            and isinstance(row.outcomes, dict)
-            and all(k in _OUTCOMES and type(n) is int and n >= 0
-                    for k, n in row.outcomes.items()))
 
 
 def _trial_ok(trial: TrialResult) -> bool:
@@ -137,8 +128,18 @@ class EvalBatch:
     config_digest: str
     mode: str
     seeds: list
-    rows: list = field(default_factory=list)   # TaskRow
+    evals: int
     trials: list = field(default_factory=list)  # TrialResult
+
+    @property
+    def rows(self) -> list:
+        """Each task's :func:`task_row`, in the order its trials first
+        appear."""
+        by_task: dict = {}
+        for trial in self.trials:
+            by_task.setdefault(trial.task_id, []).append(trial)
+        return [task_row(task_id, trials, self.evals)
+                for task_id, trials in by_task.items()]
 
     def row_for(self, task_id: int) -> TaskRow:
         for row in self.rows:
@@ -151,7 +152,7 @@ class EvalBatch:
             "config_digest": self.config_digest,
             "mode": self.mode,
             "seeds": self.seeds,
-            "rows": [asdict(r) for r in self.rows],
+            "evals": self.evals,
             "trials": [{"task_id": t.task_id, "seed": t.seed,
                         "outcome": t.outcome.value,
                         "ticks_elapsed": t.ticks_elapsed,
@@ -165,13 +166,13 @@ class EvalBatch:
         Raises SchemaViolation when ``doc`` is not such a document.
         """
         try:
-            batch = cls(doc["config_digest"], doc["mode"], doc["seeds"])
-            batch.rows = [TaskRow(**r) for r in doc["rows"]]
-            batch.trials = [TrialResult(t["task_id"], t["seed"],
-                                        Outcome(t["outcome"]),
-                                        t["ticks_elapsed"], None,
-                                        t.get("detail", ""))
-                            for t in doc["trials"]]
+            batch = cls(doc["config_digest"], doc["mode"], doc["seeds"],
+                        doc["evals"],
+                        [TrialResult(t["task_id"], t["seed"],
+                                     Outcome(t["outcome"]),
+                                     t["ticks_elapsed"], None,
+                                     t.get("detail", ""))
+                         for t in doc["trials"]])
         except KeyError as exc:
             raise SchemaViolation(f"batch: missing field {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -185,32 +186,26 @@ class EvalBatch:
                 type(s) is not int for s in batch.seeds):
             raise SchemaViolation("batch: seeds must be a non-empty list "
                                   "of ints")
+        if type(batch.evals) is not int or batch.evals < 1 \
+                or len(batch.seeds) % batch.evals:
+            raise SchemaViolation(
+                "batch: evals must be an int >= 1 that divides the "
+                f"{len(batch.seeds)} seeds, got {batch.evals!r}")
         if batch.mode not in MODES or not isinstance(batch.config_digest, str):
             raise SchemaViolation(f"batch: mode must be one of {MODES} and "
                                   "config_digest a string")
-        if not all(map(_row_ok, batch.rows)) or not all(
-                map(_trial_ok, batch.trials)):
+        if not all(map(_trial_ok, batch.trials)):
             raise SchemaViolation(
-                f"batch: rows need a task_id in {TASK_IDS}, a string "
-                "category, finite eval_percentages, avg and std, and "
-                "non-negative int counts keyed by outcome; trials need a "
-                "task_id in that set, an int seed, a non-negative int "
-                "ticks_elapsed and a string detail")
+                f"batch: trials need a task_id in {TASK_IDS}, an int seed, "
+                "a non-negative int ticks_elapsed and a string detail")
         cells = sorted((t.task_id, t.seed) for t in batch.trials)
-        wanted = [(row.task_id, seed) for row in batch.rows
-                  for seed in batch.seeds]
-        if len(set(wanted)) != len(wanted) or cells != sorted(wanted):
+        wanted = sorted((task_id, seed)
+                        for task_id in {t.task_id for t in batch.trials}
+                        for seed in batch.seeds)
+        if len(set(batch.seeds)) != len(batch.seeds) or cells != wanted:
             raise SchemaViolation(
-                "batch: trials must be one per (row task_id, seed), and "
-                "neither seeds nor rows may repeat")
-        for row in batch.rows:
-            evals = len(row.eval_percentages)
-            if not evals or len(batch.seeds) % evals or row != task_row(
-                    row.task_id, [t for t in batch.trials
-                                  if t.task_id == row.task_id], evals):
-                raise SchemaViolation(
-                    f"batch: task {row.task_id}'s row is not the row of its "
-                    f"trials in {evals} evaluation blocks")
+                "batch: trials must be one per (task_id, seed), and seeds "
+                "may not repeat")
         return batch
 
 
@@ -233,12 +228,10 @@ def run_bench(config: BenchConfig) -> EvalBatch:
     episode_config = config.episode_config()
     seeds = [config.base_seed + i
              for i in range(config.evals * config.trials_per_eval)]
-    batch = EvalBatch(config.digest(), config.mode, seeds)
+    batch = EvalBatch(config.digest(), config.mode, seeds, config.evals)
     for task_id in config.tasks:
-        trials = [run_trial(task_id, seed, episode_config, backend)
-                  for seed in seeds]
-        batch.trials.extend(trials)
-        batch.rows.append(task_row(task_id, trials, config.evals))
+        batch.trials.extend(run_trial(task_id, seed, episode_config, backend)
+                            for seed in seeds)
     if config.out_dir:
         path = os.path.join(config.out_dir, "batch.json")
         try:

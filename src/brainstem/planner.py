@@ -395,12 +395,13 @@ def subtask_order(subtasks: Sequence[Mapping]) -> tuple:
     """
     subtasks = sorted(subtasks, key=lambda s: s["subtask_id"])
     ids = [s["subtask_id"] for s in subtasks]
+    known = set(ids)
     deps: dict = {}
     for i, subtask in enumerate(subtasks):
         sid = subtask["subtask_id"]
         if "depends_on" in subtask:
             for dep in subtask["depends_on"]:
-                if dep not in ids:
+                if dep not in known:
                     raise SchemaViolation(
                         f"subtasks.depends_on: {sid} depends on {dep!r}, "
                         "which is not a subtask in this plan")

@@ -469,7 +469,7 @@ def collaboration_decision_problems(doc: Any) -> list:
     return problems
 
 
-def _provider_response_problems(doc: Any) -> list:
+def provider_response_problems(doc: Any) -> list:
     problems: list = []
     if not isinstance(doc, dict):
         return ["response: expected a document"]
@@ -503,7 +503,7 @@ def _action_feedback(body: dict) -> list:
 
 _SCHEMAS = {
     PayloadKind.SUBTASK_ASSIGN: decomposition_plan_problems,
-    PayloadKind.AGENT_RESPONSE: _provider_response_problems,
+    PayloadKind.AGENT_RESPONSE: provider_response_problems,
     PayloadKind.HTN_MEMORY: _htn_memory,
     PayloadKind.ACTION_FEEDBACK: _action_feedback,
 }

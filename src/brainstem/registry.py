@@ -59,7 +59,6 @@ class AgentRegistry:
     def __init__(self, crash_log_path: Optional[str] = None):
         self._lock = threading.RLock()
         self._agents: dict = {}            # agent_id -> AgentDescriptor
-        self._initial: dict = {}           # agent_id -> descriptor as registered
         self._saved_subscriptions: dict = {}
         self._crash_records: list = []
         self._crash_log_path = crash_log_path
@@ -88,7 +87,6 @@ class AgentRegistry:
             descriptor = replace(descriptor, status=AgentStatus.ACTIVE,
                                  expertise=tuple(descriptor.expertise))
             self._agents[descriptor.agent_id] = descriptor
-            self._initial[descriptor.agent_id] = descriptor
             if self.bus is not None:
                 self.bus.subscribe(descriptor.agent_id,
                                    DEFAULT_CHANNELS[descriptor.role])
@@ -170,8 +168,7 @@ class AgentRegistry:
                 self._write_crash_line(record)
             self._crash_records.append(record)
             log.warning("reinitializing %s after failure at tick %d", agent_id, tick)
-            self._agents[agent_id] = replace(self._initial[agent_id],
-                                             status=AgentStatus.ACTIVE)
+            self._agents[agent_id] = replace(agent, status=AgentStatus.ACTIVE)
             if self.bus is not None:
                 subscriptions = self._saved_subscriptions.pop(
                     agent_id, DEFAULT_CHANNELS[agent.role])

@@ -158,6 +158,8 @@ def task1_plan_for(agent_id):
       for reply in NON_OBJECTS.values()],
     *[(6, "worker", reply, "malformed reply: decision: expected a document")
       for reply in NON_OBJECTS.values()],
+    *[(6, "provider", reply, "malformed reply: response: expected a document")
+      for reply in NON_OBJECTS.values()],
     *[(1, "leader", task1_plan_for(agent_id),
        f"malformed reply: '{agent_id}' is not an active registered worker")
       for agent_id in NON_WORKERS],
@@ -170,6 +172,7 @@ def task1_plan_for(agent_id):
 ], ids=["not_json", "unknown_worker",
         *[f"leader_{name}" for name in NON_OBJECTS],
         *[f"worker_{name}" for name in NON_OBJECTS],
+        *[f"provider_{name}" for name in NON_OBJECTS],
         *[f"plan_assigns_{agent_id}" for agent_id in NON_WORKERS],
         *[f"reflection_asks_{agent_id}" for agent_id in NON_WORKERS],
         *[f"{role}_too_deep" for _, role, _ in FIRST_REPLIES]])

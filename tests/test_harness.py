@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from collections import Counter
@@ -126,44 +127,32 @@ def test_batch_round_trips_through_json(tmp_path):
 
 
 @pytest.mark.parametrize("where, field, value", [
-    ("row", "task_id", "3"), ("row", "category", 3),
-    ("row", "eval_percentages", [100.0, math.inf]), ("row", "std", None),
-    ("row", "avg", True), ("row", "outcomes", {"Success": "1"}),
+    ("batch", "evals", 0), ("batch", "evals", True), ("batch", "evals", 1.0),
+    ("batch", "evals", "1"), ("batch", "evals", 2), ("batch", "rows", []),
     ("trial", "ticks_elapsed", 12.5), ("batch", "mode", 5),
     ("batch", "config_digest", []), ("batch", "seeds", ["a"]),
     ("batch", "seeds", [True]), ("trial", "seed", "x"),
     ("trial", "task_id", None), ("trial", "detail", [1]),
-    ("row", "task_id", 99), ("row", "outcomes", {"Bogus": -4}),
-    ("row", "outcomes", {"Success": -1}), ("trial", "task_id", 42),
-    ("trial", "ticks_elapsed", -12), ("trial", "extra", 1),
-    ("batch", "extra", 1), ("row", "avg", 50.0), ("row", "std", 1.0),
-    ("row", "eval_percentages", [0.0, 50.0, 100.0]),
-    ("row", "eval_percentages", []), ("row", "outcomes", {"Failure": 1}),
-    ("row", "outcomes", {"Success": 2}), ("trial", "seed", 7),
-    ("row", "category", "physical"),
+    ("trial", "task_id", 42), ("trial", "ticks_elapsed", -12),
+    ("trial", "extra", 1), ("batch", "extra", 1), ("trial", "seed", 7),
 ])
 def test_batch_with_mistyped_field_rejected(where, field, value):
-    row = {"task_id": 3, "category": "semantic", "eval_percentages": [100.0],
-           "avg": 100.0, "std": 0.0, "outcomes": {"Success": 1}}
     trial = {"task_id": 3, "seed": 0, "outcome": "Success",
              "ticks_elapsed": 12, "detail": ""}
-    doc = {"config_digest": "x", "mode": "full", "seeds": [0],
-           "rows": [row], "trials": [trial]}
+    doc = {"config_digest": "x", "mode": "full", "seeds": [0], "evals": 1,
+           "trials": [trial]}
     EvalBatch.from_doc(doc)
-    {"row": row, "trial": trial, "batch": doc}[where][field] = value
+    {"trial": trial, "batch": doc}[where][field] = value
     with pytest.raises(SchemaViolation):
         EvalBatch.from_doc(doc)
 
 
 def test_batch_repeating_a_trial_rejected():
-    # two Success trials of one (task, seed): the row's counts match them,
-    # yet no batch run_bench writes repeats a cell
+    # two Success trials of one (task, seed): as many trials as seeds, yet
+    # no batch run_bench writes repeats a cell
     trial = {"task_id": 3, "seed": 0, "outcome": "Success",
              "ticks_elapsed": 12, "detail": ""}
-    doc = {"config_digest": "x", "mode": "full", "seeds": [0, 1],
-           "rows": [{"task_id": 3, "category": "semantic",
-                     "eval_percentages": [100.0], "avg": 100.0, "std": 0.0,
-                     "outcomes": {"Success": 2}}],
+    doc = {"config_digest": "x", "mode": "full", "seeds": [0, 1], "evals": 1,
            "trials": [trial, dict(trial)]}
     with pytest.raises(SchemaViolation, match="repeat"):
         EvalBatch.from_doc(doc)
@@ -184,37 +173,20 @@ def test_backend_error_ends_trials_not_the_batch(monkeypatch):
     assert EvalBatch.from_doc(batch.to_doc()).to_doc() == batch.to_doc()
 
 
-def batch_doc(seeds, rows, trials):
-    """A batch document of ``rows`` (task_id, category, eval_percentages,
-    outcomes) and ``trials`` (task_id, seed, outcome)."""
+def batch_doc(seeds, evals, trials):
+    """A batch document of ``trials`` (task_id, seed, outcome)."""
     return {"config_digest": "x", "mode": "full", "seeds": seeds,
-            "rows": [{"task_id": t, "category": c, "eval_percentages": p,
-                      "avg": aggregate(p)[0], "std": aggregate(p)[1],
-                      "outcomes": o} for t, c, p, o in rows],
+            "evals": evals,
             "trials": [{"task_id": t, "seed": s, "outcome": o,
                         "ticks_elapsed": 12, "detail": ""}
                        for t, s, o in trials]}
 
 
-PHYSICAL_FAILED = (1, "physical", [0.0], {"Failure": 1})
-
-
 @pytest.mark.parametrize("doc", [
-    batch_doc([0], [(1, "physical", [100.0], {"Failure": 1})],
-              [(1, 0, "Failure")]),
-    batch_doc([0], [PHYSICAL_FAILED, PHYSICAL_FAILED], [(1, 0, "Failure")]),
-    batch_doc([0], [PHYSICAL_FAILED, (2, "visual", [100.0], {})],
-              [(1, 0, "Failure")]),
-    batch_doc([0, 0], [PHYSICAL_FAILED], [(1, 0, "Failure")]),
-    batch_doc([0], [(3, "physical", [100.0], {"Success": 1})],
-              [(3, 0, "Success")]),
-    batch_doc([0, 1], [(1, "physical", [100.0, 0.0],
-                        {"Failure": 1, "Success": 1})],
-              [(1, 0, "Failure"), (1, 1, "Success")]),
-    batch_doc([0, 1], [PHYSICAL_FAILED], [(1, 0, "Failure")]),
-], ids=["percentages_not_outcomes", "repeated_row", "row_without_trials",
-        "repeated_seed", "wrong_category", "swapped_blocks", "missing_cell"])
-def test_batch_whose_rows_are_not_its_trials_rows_rejected(doc):
+    batch_doc([0, 0], 1, [(1, 0, "Failure")]),
+    batch_doc([0, 1], 1, [(1, 0, "Failure")]),
+], ids=["repeated_seed", "missing_cell"])
+def test_batch_without_one_trial_per_task_and_seed_rejected(doc):
     with pytest.raises(SchemaViolation):
         EvalBatch.from_doc(doc)
 
@@ -299,9 +271,9 @@ def test_injected_backend_fault_ends_its_trial_classified(task_id, seed, data):
 # -- reports -------------------------------------------------------------------
 
 def test_all_100_formats_as_100_pm_0():
-    batch = EvalBatch("deadbeef", "full", [0, 1])
-    from brainstem.harness import TaskRow
-    batch.rows.append(TaskRow(1, "physical", [100.0] * 8, 100.0, 0.0, {}))
+    batch = EvalBatch("deadbeef", "full", list(range(8)), 8,
+                      [TrialResult(1, seed, Outcome.SUCCESS, 0)
+                       for seed in range(8)])
     text = emit_report(batch, "md")
     assert "100±0" in text
 
@@ -314,6 +286,23 @@ def test_csv_and_md_carry_identical_numbers():
     token = f"{row.avg:g}"
     assert token in md.replace("±", " ").replace("|", " ")
     assert token in csv
+
+
+# sha256 of the md and csv reports of these batches, computed when each row
+# was stored in batch.json: a derived row must print byte for byte the same
+@pytest.mark.parametrize("tasks, md_sha256, csv_sha256", [
+    ((1, 4),
+     "e2271556869ca33b3025384607587f7623a3be9a51fbaaa463f9a39d6a35fcc6",
+     "5e41af468319205d4eba2cd6f1469d8bd8fda5a03c6f814995400a6598f0b443"),
+    ((8, 4),
+     "9502e5bde19f5017845b7b4888246593e4920c12a09626eb5ad4a2b6efbb959b",
+     "f7f8b02eab0e323c2f52aa4effc2c023d80e04f7672230c6c66971ed4a9d8a17"),
+], ids=["all_succeed", "task8_mixed"])
+def test_reports_of_derived_rows_are_pinned(tasks, md_sha256, csv_sha256):
+    batch = run_bench(BenchConfig(tasks=tasks, trials_per_eval=2, evals=3))
+    for fmt, digest in [("md", md_sha256), ("csv", csv_sha256)]:
+        text = emit_report(batch, fmt)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
 
 def test_report_includes_run_metadata():
@@ -375,13 +364,12 @@ def test_cli_json_report_loads_back_as_the_same_trials(tmp_path, capsys):
     ["aggregate", "--input", "{tmp}/list.json"],
     ["aggregate", "--input", "{tmp}/strings.json"],
     ["report", "--input", "{tmp}/no_seeds.json"],
-    ["report", "--input", "{tmp}/avg_string.json"],
-    ["report", "--input", "{tmp}/evals_string.json", "--format", "csv"],
-    ["report", "--input", "{tmp}/avg_nan.json"],
+    ["report", "--input", "{tmp}/old_format.json"],
+    ["report", "--input", "{tmp}/evals_zero.json", "--format", "csv"],
+    ["report", "--input", "{tmp}/evals_not_dividing.json"],
     ["aggregate", "--input", "{tmp}/nan.json"],
     ["aggregate", "--input", "{tmp}/infinity.json"],
     ["run", "--task", "1,1", "--trials", "1", "--evals", "1"],
-    ["report", "--input", "{tmp}/rows_not_trials.json"],
     ["report", "--input", "{tmp}/too_deep.json"],
     ["aggregate", "--input", "{tmp}/too_deep.json"],
     ["report", "--input", "{tmp}/not_utf8.json"],
@@ -389,15 +377,15 @@ def test_cli_json_report_loads_back_as_the_same_trials(tmp_path, capsys):
 ], ids=["ratios", "task", "report_missing",
         "report_no_mode", "report_not_json", "aggregate_missing",
         "out_under_file", "aggregate_list", "aggregate_strings",
-        "report_no_seeds", "report_avg_string", "report_evals_string",
-        "report_avg_nan", "aggregate_nan", "aggregate_infinity",
-        "task_duplicate", "report_rows_not_trials", "report_too_deep",
+        "report_no_seeds", "report_old_format", "report_evals_zero",
+        "report_evals_not_dividing", "aggregate_nan", "aggregate_infinity",
+        "task_duplicate", "report_too_deep",
         "aggregate_too_deep", "report_not_utf8", "aggregate_not_utf8"])
 def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "no_mode.json").write_text(json.dumps(
-        {"config_digest": "x", "seeds": [], "rows": [], "trials": []}))
+        {"config_digest": "x", "seeds": [], "evals": 1, "trials": []}))
     (tmp_path / "no_seeds.json").write_text(json.dumps(
-        {"config_digest": "x", "mode": "full", "seeds": [], "rows": [],
+        {"config_digest": "x", "mode": "full", "seeds": [], "evals": 1,
          "trials": []}))
     (tmp_path / "list.json").write_text(json.dumps([1, 2]))
     (tmp_path / "strings.json").write_text(json.dumps({"row": ["a"]}))
@@ -407,18 +395,17 @@ def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "too_deep.json").write_text(TOO_DEEP)
     (tmp_path / "not_utf8.json").write_bytes(b'{"a": [1\xff]}')
     (tmp_path / "regular_file").write_text("")
-    for name, field, value in [("avg_string", "avg", "a"),
-                               ("evals_string", "eval_percentages", "x"),
-                               ("avg_nan", "avg", math.nan)]:
-        row = {"task_id": 3, "category": "semantic",
-               "eval_percentages": [100.0], "avg": 100.0, "std": 0.0,
-               "outcomes": {"Success": 1}, field: value}
-        (tmp_path / f"{name}.json").write_text(json.dumps(
-            {"config_digest": "x", "mode": "full", "seeds": [0],
-             "rows": [row], "trials": []}))
-    (tmp_path / "rows_not_trials.json").write_text(json.dumps(
-        batch_doc([0], [(1, "physical", [100.0], {"Failure": 1})],
-                  [(1, 0, "Failure")])))
+    # a batch.json as written when each row was stored beside its trials
+    (tmp_path / "old_format.json").write_text(json.dumps(
+        {"config_digest": "x", "mode": "full", "seeds": [0],
+         "rows": [{"task_id": 1, "category": "physical",
+                   "eval_percentages": [0.0], "avg": 0.0, "std": 0.0,
+                   "outcomes": {"Failure": 1}}],
+         "trials": [{"task_id": 1, "seed": 0, "outcome": "Failure",
+                     "ticks_elapsed": 12, "detail": ""}]}))
+    for name, evals in [("evals_zero", 0), ("evals_not_dividing", 2)]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(batch_doc(
+            [0, 1, 2], evals, [(1, s, "Failure") for s in range(3)])))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err

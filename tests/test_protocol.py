@@ -3,6 +3,7 @@ import json
 import pathlib
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -346,6 +347,20 @@ def test_plan_schema_accepts_dependency_order():
          "depends_on": []},
     ]}
     assert decomposition_plan_problems(body) == []
+
+
+def test_plan_check_of_a_long_chain_is_linear():
+    # each subtask depends on the one before; a scan of the id list per
+    # dependency would make this check take ~20 s
+    n = 40_000
+    body = {"difficulty": "high", "subtasks": [
+        {"subtask_id": f"ST{i:05d}", "assigned_worker": f"Worker_{i}",
+         "task_description": "a", "focus": ["x", "y", "z"],
+         "depends_on": [f"ST{i - 1:05d}"] if i else []}
+        for i in range(n)]}
+    start = time.perf_counter()
+    assert decomposition_plan_problems(body) == []
+    assert time.perf_counter() - start < 5.0
 
 
 def test_collaboration_schema_flag_must_match_requirement():
