@@ -7,22 +7,23 @@ and ``ticks_elapsed`` is virtual time alone. Two agent configurations exist
 (see ``MODES``): the full collective and a reactive-only ablation (a slowed
 fixed action script, and only the reactive loop).
 
-The tree-search selector over the scenario's declared transition model picks
-every action the full collective takes, and aborts at a dead end. With the
-world's scheduled events and stochastic action results, that decides a trial's
-outcome. The model also defines success: a trial succeeds once the world's
-symbol is one of its goal states (``simenv.check_success``). Each reader of
-that symbol computes it from the world when it needs it. State review (memory
-rate, the one drift check) compares it with the symbol the last plan or
-success was made against, and requests a replan when they differ. The leader
-plan, worker collaboration and those replans all run, but change no cell of
-the seeded grid: the only drift comes from a scheduled event (task 8's
-deletion), after which the symbol is the dead end ``apple_missing`` and the
-selector aborts. A replan request is the flag ``replan_requested``, not a
-message. The bus carries one message per event: each plan (``SubtaskAssign``),
-each provider response (``AgentResponse``) and each finished action
-(``ActionFeedback``). No agent reads it, so none subscribes and no message
-waits in a queue; its audit log is the episode's record of them.
+The tree-search selector over the scenario's transition model (derived from its
+world rules plus the task's stated beliefs) picks every action the full
+collective takes, and aborts at a dead end. With the world's scheduled events
+and stochastic action results, that decides a trial's outcome. The model also
+defines success: a trial succeeds once the world's symbol is one of its goal
+states (``simenv.check_success``). Each reader of that symbol computes it from
+the world when it needs it. State review (memory rate, the one drift check)
+compares it with the symbol the last plan or success was made against, and
+requests a replan when they differ. The leader plan, worker collaboration and
+those replans all run, but change no cell of the seeded grid: the only drift
+comes from a scheduled event (task 8's deletion), after which the symbol is the
+dead end ``apple_missing`` and the selector aborts. A replan request is the
+flag ``replan_requested``, not a message. The bus carries one message per
+event: each plan (``SubtaskAssign``), each provider response
+(``AgentResponse``) and each finished action (``ActionFeedback``). No agent
+reads it, so none subscribes and no message waits in a queue; its audit log is
+the episode's record of them.
 
 A backend error while planning ends the trial as ``HandledAbort`` at that
 tick, detail ``backend: <message>`` (a remote reply that breaks HTTP counts

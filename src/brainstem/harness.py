@@ -76,7 +76,9 @@ class BenchConfig:
         self.episode_config()  # raises ConfigError on a bad episode setting
 
     def digest(self) -> str:
-        doc = json.dumps(asdict(self), sort_keys=True, default=list)
+        """The grid's identity: every field but where its batch is written."""
+        doc = json.dumps({**asdict(self), "out_dir": None}, sort_keys=True,
+                         default=list)
         return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
     def episode_config(self) -> EpisodeConfig:

@@ -207,7 +207,8 @@ def score_state(goal_proximity: float, transition_possibility: float,
 
 @dataclass
 class TransitionModel:
-    """A scenario's declared symbolic dynamics, consumed by the tree generator.
+    """A scenario's symbolic dynamics, consumed by the tree generator: derived
+    from its world rules plus the task's stated beliefs (see ``simenv``).
 
     ``transitions`` maps a state label to (action, probability, next state)
     outcome triples; probabilities are per action and sum to 1 within one

@@ -2,10 +2,12 @@
 
 No physics: contact failures are stochastic action outcomes, time is virtual
 (100 ticks per virtual second), and perturbations are scheduled events. Each
-scenario declares its true action rules (preconditions, effects, success
-probabilities, durations), a symbolic transition model for the planner, and a
-symbol function that names the model state a world is in. A trial succeeds
-when that state is one of the model's goal states (:func:`check_success`).
+task declares its true action rules (preconditions, effects, success
+probabilities, durations), a symbol function that names the model state a
+world is in, its goal states and the few beliefs in which its planner differs
+from the rules. The planner's transition model is derived from these
+(:func:`_derive_model`). A trial succeeds when a world's symbol is one of the
+model's goal states (:func:`check_success`).
 """
 
 from __future__ import annotations
@@ -219,6 +221,47 @@ def _prob(p):
     return lambda _world: p
 
 
+def _derive_model(world: WorldState, rules: Mapping[str, ActionRule],
+                  symbol_of: Callable, goals: set,
+                  beliefs: Optional[Mapping] = None) -> TransitionModel:
+    """The planner's model of a task: its rules seen through ``symbol_of``.
+
+    Walks, breadth first, every world that successful actions reach from
+    ``world`` (scheduled events left out). For each non-goal symbol it lists,
+    in rule order, each action whose precondition holds, whose success
+    probability ``p`` is above 0 and whose effect changes the symbol, as
+    ``(action, p, next)`` then, when ``p < 1``, ``(action, 1 - p, symbol)``
+    rounded to 12 digits. A ``beliefs`` entry (symbol -> outcome list)
+    replaces the derived one. Raises ``ValueError`` when one symbol names
+    two worlds with different outcome lists.
+    """
+    transitions, worlds = {}, [world]
+    for world in worlds:  # appending while iterating walks breadth first
+        symbol = symbol_of(world)
+        if symbol in goals:
+            continue
+        outcomes = []
+        for action, rule in rules.items():
+            if rule.precondition(world) is not None:
+                continue
+            p = rule.success_prob(world)
+            if p <= 0:
+                continue
+            after = world.clone()
+            rule.effect(after)
+            if after not in worlds:
+                worlds.append(after)
+            nxt = symbol_of(after)
+            if nxt != symbol:
+                outcomes.append((action, p, nxt))
+                if p < 1:
+                    outcomes.append((action, round(1 - p, 12), symbol))
+        if transitions.setdefault(symbol, outcomes) != outcomes:
+            raise ValueError(f"symbol {symbol!r} names worlds with different "
+                             f"outcomes: {transitions[symbol]} and {outcomes}")
+    return TransitionModel({**transitions, **(beliefs or {})}, goals)
+
+
 # ---------------------------------------------------------------------------
 # the eight tasks
 # ---------------------------------------------------------------------------
@@ -249,11 +292,6 @@ def _task_1(seed: int):
                                    "cabinet already open", do_open, _always),
         "grasp cube": ActionRule(250, 25, pre_grasp, do_grasp, _prob(0.93)),
     }
-    model = TransitionModel({
-        "start": [("open cabinet", 1.0, "cabinet_open")],
-        "cabinet_open": [("grasp cube", 0.93, "holding_cube"),
-                         ("grasp cube", 0.07, "cabinet_open")],
-    }, {"holding_cube"})
 
     def symbol(w):
         if w.holding() == "cube_1":
@@ -262,7 +300,8 @@ def _task_1(seed: int):
 
     return ScenarioSpec(
         task_id=1, category="physical", mission="grab cube from cabinet",
-        rules=rules, model=model, symbol_of=symbol,
+        rules=rules, symbol_of=symbol,
+        model=_derive_model(world, rules, symbol, {"holding_cube"}),
         reactive_script=("open cabinet", "grasp cube"),
         timeout_ticks=4000, seed=seed,
     ), world
@@ -299,14 +338,6 @@ def _task_2(seed: int):
         "release": ActionRule(150, 15, lambda w: None if w.holding() else
                               "nothing held", do_release, _always),
     }
-    model = TransitionModel({
-        "start": [("grasp blue cube", 0.9, "holding_blue"),
-                  ("grasp blue cube", 0.1, "start"),
-                  ("grasp red cube", 1.0, "holding_wrong"),
-                  ("grasp green cube", 1.0, "holding_wrong")],
-        "holding_wrong": [("release", 1.0, "start")],
-    }, {"holding_blue"})
-
     def symbol(w):
         held = w.holding()
         if held == "cube_blue":
@@ -315,7 +346,8 @@ def _task_2(seed: int):
 
     return ScenarioSpec(
         task_id=2, category="visual", mission="grab the blue cube",
-        rules=rules, model=model, symbol_of=symbol,
+        rules=rules, symbol_of=symbol,
+        model=_derive_model(world, rules, symbol, {"holding_blue"}),
         reactive_script=("grasp blue cube",),
         timeout_ticks=6000, seed=seed,
     ), world
@@ -336,16 +368,13 @@ def _task_3(seed: int):
                            "cube_blue" else "blue cube not in gripper",
                            do_lift, _prob(0.97)),
     }
-    model = TransitionModel({
-        "holding": [("lift", 0.97, "lifted"), ("lift", 0.03, "holding")],
-    }, {"lifted"})
-
     def symbol(w):
         return "lifted" if "lifted" in w.marks else "holding"
 
     return ScenarioSpec(
         task_id=3, category="semantic", mission="lift blue cube",
-        rules=rules, model=model, symbol_of=symbol,
+        rules=rules, symbol_of=symbol,
+        model=_derive_model(world, rules, symbol, {"lifted"}),
         reactive_script=("lift",),
         timeout_ticks=3000, seed=seed,
     ), world
@@ -374,21 +403,23 @@ def _task_4(seed: int):
                           "charger_1" else "charger not in gripper",
                           effect, prob)
 
-    rules = {f"plug {p}": plug(p) for p in ("port_1", "port_2", "port_3")}
+    ports = ("port_1", "port_2", "port_3")
+    rules = {f"plug {p}": plug(p) for p in ports}
     third = 1.0 / 3.0
-    model = TransitionModel({
-        "at_ports": [(f"plug {p}", third, "charger_plugged")
-                     for p in ("port_1", "port_2", "port_3")] +
-                    [(f"plug {p}", 1.0 - third, "at_ports")
-                     for p in ("port_1", "port_2", "port_3")],
-    }, {"charger_plugged"})
+    beliefs = {
+        # the planner does not know the right port, so gives each a third
+        "at_ports": [(f"plug {p}", third, "charger_plugged") for p in ports] +
+                    [(f"plug {p}", 1.0 - third, "at_ports") for p in ports],
+    }
 
     def symbol(w):
         return "charger_plugged" if "plugged" in w.marks else "at_ports"
 
     return ScenarioSpec(
         task_id=4, category="correction", mission="try and plug the right charger",
-        rules=rules, model=model, symbol_of=symbol,
+        rules=rules, symbol_of=symbol,
+        model=_derive_model(world, rules, symbol, {"charger_plugged"},
+                            beliefs),
         reactive_script=("plug port_1",),
         timeout_ticks=6000, seed=seed,
     ), world
@@ -415,12 +446,12 @@ def _task_5(seed: int):
                                  do_grasp, _prob(0.6)),
         "nudge objects": ActionRule(300, 30, _ok, lambda w: None, _always),
     }
-    model = TransitionModel({
-        "start": [("search shelf", 1.0, "book_located")],
+    beliefs = {
+        # nudging changes no symbol, yet the planner lists it as an option
         "book_located": [("grasp book", 0.6, "holding_book"),
                          ("grasp book", 0.4, "book_located"),
                          ("nudge objects", 1.0, "book_located")],
-    }, {"holding_book"})
+    }
 
     def symbol(w):
         if w.holding() == "book_hp":
@@ -429,16 +460,16 @@ def _task_5(seed: int):
 
     return ScenarioSpec(
         task_id=5, category="ood", mission="grab the harry potter book",
-        rules=rules, model=model, symbol_of=symbol,
+        rules=rules, symbol_of=symbol,
+        model=_derive_model(world, rules, symbol, {"holding_book"}, beliefs),
         reactive_script=("grasp book",),  # never searches: stays blind
         timeout_ticks=8000, seed=seed,
     ), world
 
 
-def _apple_fetch(durations, grasp_p, miss_p):
-    """(rules, model entries) of the explore-approach-look-grasp chain that
-    tasks 6 and 8 share. ``miss_p``, the model's probability of a failed
-    grasp, is its own literal: ``1 - grasp_p`` is a different float."""
+def _apple_fetch(durations, grasp_p):
+    """The rules of the explore-approach-look-grasp chain that tasks 6 and 8
+    share."""
     (explore_d, explore_s), (approach_d, approach_s), (look_d, look_s), \
         (grasp_d, grasp_s) = durations
 
@@ -468,7 +499,7 @@ def _apple_fetch(durations, grasp_p, miss_p):
         w.gripper["holding"] = "apple_1"
         w.objects["apple_1"].location = "gripper"
 
-    rules = {
+    return {
         "explore room": ActionRule(explore_d, explore_s, _ok,
                                    do_explore, _always),
         "approach apple": ActionRule(approach_d, approach_s,
@@ -482,14 +513,6 @@ def _apple_fetch(durations, grasp_p, miss_p):
         "grasp apple": ActionRule(grasp_d, grasp_s, pre_grasp,
                                   do_grasp, _prob(grasp_p)),
     }
-    transitions = {
-        "searching": [("explore room", 1.0, "apple_located")],
-        "apple_located": [("approach apple", 1.0, "near_apple")],
-        "near_apple": [("look closely", 1.0, "apple_in_view")],
-        "apple_in_view": [("grasp apple", grasp_p, "holding_apple"),
-                          ("grasp apple", miss_p, "apple_in_view")],
-    }
-    return rules, transitions
 
 
 def _apple_search_symbol(w):
@@ -505,8 +528,8 @@ def _task_6(seed: int):
     world = WorldState(objects={
         "apple_1": ObjectState("apple", "red", "far_room", occluded=True),
     })
-    rules, transitions = _apple_fetch(
-        ((1500, 90), (800, 64), (400, 40), (500, 45)), grasp_p=0.9, miss_p=0.1)
+    rules = _apple_fetch(((1500, 90), (800, 64), (400, 40), (500, 45)),
+                         grasp_p=0.9)
 
     def do_deliver(w):
         w.gripper["holding"] = None
@@ -515,8 +538,6 @@ def _task_6(seed: int):
     rules["deliver apple"] = ActionRule(
         600, 60, lambda w: None if w.holding() == "apple_1"
         else "apple not in gripper", do_deliver, _always)
-    transitions["holding_apple"] = [("deliver apple", 1.0, "delivered")]
-    model = TransitionModel(transitions, {"delivered"})
 
     def symbol(w):
         if w.objects["apple_1"].location == "delivery_zone":
@@ -527,7 +548,8 @@ def _task_6(seed: int):
 
     return ScenarioSpec(
         task_id=6, category="multimodal", mission="find and fetch the apple",
-        rules=rules, model=model, symbol_of=symbol,
+        rules=rules, symbol_of=symbol,
+        model=_derive_model(world, rules, symbol, {"delivered"}),
         reactive_script=("explore room", "approach apple", "look closely",
                          "grasp apple", "deliver apple"),
         timeout_ticks=8000, seed=seed,
@@ -572,13 +594,14 @@ def _task_7(seed: int):
                                       look("right"), _always),
         "grasp apple": ActionRule(500, 45, pre_grasp, do_grasp, _prob(0.9)),
     }
-    model = TransitionModel({
-        "searching": [("approach shelf", 1.0, "at_shelf")],
+    beliefs = {
+        # a look from the right changes no symbol, yet is listed as an option
         "at_shelf": [("look from left", 1.0, "apple_visible"),
                      ("look from right", 1.0, "at_shelf")],
+        # the planner does not believe a look from the right hides the apple
         "apple_visible": [("grasp apple", 0.9, "holding_apple"),
                           ("grasp apple", 0.1, "apple_visible")],
-    }, {"holding_apple"})
+    }
 
     def symbol(w):
         if w.holding() == "apple_1":
@@ -587,13 +610,13 @@ def _task_7(seed: int):
             return "apple_visible"
         return "at_shelf" if "at_shelf" in w.marks else "searching"
 
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         task_id=7, category="long-horizon1", mission="fetch the apple (occlusion)",
-        rules=rules, model=model, symbol_of=symbol,
+        rules=rules, symbol_of=symbol,
+        model=_derive_model(world, rules, symbol, {"holding_apple"}, beliefs),
         reactive_script=("approach shelf", "look from left", "grasp apple"),
         timeout_ticks=8000, seed=seed,
-    )
-    return spec, world
+    ), world
 
 
 def _task_8(seed: int):
@@ -602,11 +625,10 @@ def _task_8(seed: int):
     })
     # nominal completion 6400 ticks (64 virtual s, sigma ~262) racing the
     # 60 s deletion: only the fast tail beats the perturbation window
-    rules, transitions = _apple_fetch(
-        ((3000, 190), (1500, 128), (1000, 100), (900, 82)),
-        grasp_p=0.95, miss_p=0.05)
-    transitions["apple_missing"] = []  # dead end: replanning must abort
-    model = TransitionModel(transitions, {"holding_apple"})
+    rules = _apple_fetch(((3000, 190), (1500, 128), (1000, 100), (900, 82)),
+                         grasp_p=0.95)
+    # a dead end that only the deletion reaches: replanning must abort
+    beliefs = {"apple_missing": []}
 
     def symbol(w):
         if w.holding() == "apple_1":
@@ -618,7 +640,8 @@ def _task_8(seed: int):
     return ScenarioSpec(
         task_id=8, category="long-horizon2",
         mission="fetch the apple (dynamic deletion)",
-        rules=rules, model=model, symbol_of=symbol,
+        rules=rules, symbol_of=symbol,
+        model=_derive_model(world, rules, symbol, {"holding_apple"}, beliefs),
         scheduled_events=(ScheduledEvent(DELETION_TICK, "delete_object",
                                          {"object_id": "apple_1",
                                           "unless_held": True}),),

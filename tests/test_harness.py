@@ -118,6 +118,14 @@ def test_config_accepts_a_negative_seed_and_a_task_list():
     assert (list(config.tasks), config.base_seed) == ([3, 5], -3)
 
 
+def test_config_digest_ignores_where_the_batch_is_written():
+    # the default config's digest, from before out_dir was left out of it
+    assert BenchConfig().digest() == "e21bc655ab86"
+    assert BenchConfig(out_dir="a").digest() == BenchConfig().digest()
+    assert BenchConfig(tasks=(1, 4), out_dir="b").digest() == \
+        BenchConfig(tasks=(1, 4)).digest()
+
+
 def test_batch_round_trips_through_json(tmp_path):
     config = small_config(out_dir=str(tmp_path))
     batch = run_bench(config)

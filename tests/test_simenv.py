@@ -1,12 +1,14 @@
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 
 from brainstem.errors import UnknownAction, UnknownTask
-from brainstem.simenv import (DELETION_TICK, TASK_IDS, advance_clock,
-                              check_success, load_scenario, observe,
-                              resolve_action, sample_duration, step)
+from brainstem.simenv import (DELETION_TICK, TASK_IDS, ActionRule, WorldState,
+                              _derive_model, advance_clock, check_success,
+                              load_scenario, observe, resolve_action,
+                              sample_duration, step)
 
 
 def test_all_eight_tasks_load():
@@ -290,6 +292,98 @@ def test_model_differs_from_world_rules_only_where_declared():
              for task_id in TASK_IDS for seed in range(2)
              for symbol, action in belief_disagreements(task_id, seed)}
     assert found == BELIEF_DISAGREEMENTS
+
+
+# sha256 of repr(sorted(model.transitions.items())) and the sorted goal
+# states of each task's planner model, computed from the hand-written tables
+# the models are now derived in place of
+MODEL_PINS = {
+    1: ("706321f3100a658365e748daba9b33c744fdfc01671a3757e6632c8fce20933a",
+        ["holding_cube"]),
+    2: ("b7c5bb05484977b436e60b12ebb5d984225df37b1259ca2bf838f4d2d95426c8",
+        ["holding_blue"]),
+    3: ("59231d4c272682ada416e7505124de505ba55e86ea3f6102d704b283eb8a2d3f",
+        ["lifted"]),
+    4: ("8e9483f5469ee1f997b1e2660cf5622194b204c137bd61abce70ea40a285d452",
+        ["charger_plugged"]),
+    5: ("14e7089095225627ff1d9dace80bc19fa8f27d476156504ad0d1de9d16a3b063",
+        ["holding_book"]),
+    6: ("ecc5453fffddf27b9a3cd9c551537d46ca2d23875f3a9d2be8074771e1ba08f3",
+        ["delivered"]),
+    7: ("b02e21e9be2f3037438990cb9c27c521cdc68737e5f7f10546bc980c40206def",
+        ["holding_apple"]),
+    8: ("f6572eb31970e823bad89d09214fefe4d989fe770f2261300fafb37ccd50f3e3",
+        ["holding_apple"]),
+}
+
+
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_planner_model_is_pinned_and_seed_free(task_id):
+    # float bits and outcome order included; task 4's seeded right port must
+    # never reach the planner's belief
+    digest, goals = MODEL_PINS[task_id]
+    first = load_scenario(task_id, 0)[0].model
+    for seed in range(16):
+        model = load_scenario(task_id, seed)[0].model
+        text = repr(sorted(model.transitions.items()))
+        if seed < 4:
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, seed
+            assert sorted(model.goal_states) == goals, seed
+        assert text == repr(sorted(first.transitions.items())), seed
+        assert model.goal_states == first.goal_states, seed
+
+
+def mark(name, needs=None, p=1.0):
+    """A rule that adds mark ``name``, if mark ``needs`` is set, with
+    success probability ``p``."""
+    return ActionRule(1, 0, lambda w: None if needs in (None, *w.marks)
+                      else f"needs {needs}", lambda w: w.marks.add(name),
+                      lambda _w: p)
+
+
+def marks_symbol(w):
+    return "+".join(sorted(w.marks)) or "start"
+
+
+def derive(rules, goals=("goal",), beliefs=None, symbol_of=marks_symbol):
+    return _derive_model(WorldState(objects={}), rules, symbol_of,
+                         set(goals), beliefs).transitions
+
+
+def test_derived_model_omits_actions_that_cannot_change_the_symbol():
+    rules = {"blocked": mark("a", needs="key"), "never": mark("b", p=0.0),
+             "idle": ActionRule(1, 0, lambda w: None, lambda w: None,
+                                lambda _w: 1.0),
+             "go": mark("goal")}
+    assert derive(rules) == {"start": [("go", 1.0, "goal")]}
+
+
+def test_derived_failure_follows_success_and_is_rounded():
+    transitions = derive({"go": mark("goal", p=0.93)})
+    assert transitions == {"start": [("go", 0.93, "goal"),
+                                     ("go", 0.07, "start")]}
+    assert repr(transitions["start"][1][1]) == "0.07" != repr(1 - 0.93)
+
+
+def test_derived_model_does_not_expand_goal_symbols():
+    rules = {"go": mark("goal"), "beyond": mark("past", needs="goal")}
+    assert derive(rules) == {"start": [("go", 1.0, "goal")]}
+
+
+def test_belief_replaces_its_derived_entry():
+    rules = {"go": mark("goal", p=0.5), "other": mark("goal")}
+    beliefs = {"start": [("other", 1.0, "goal")], "lost": []}
+    assert derive(rules, beliefs=beliefs) == beliefs
+
+
+def test_one_symbol_with_two_outcome_lists_raises():
+    # "key" is invisible to the symbol, yet only a world holding it can go
+    def symbol_of(w):
+        return "goal" if "goal" in w.marks else "start"
+
+    rules = {"take key": mark("key"), "go": mark("goal", needs="key")}
+    with pytest.raises(ValueError, match="'start'"):
+        derive(rules, symbol_of=symbol_of)
 
 
 def test_observation_never_reveals_hidden():
