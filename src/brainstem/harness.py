@@ -7,9 +7,11 @@ deviation (n-1); the shipped reference tables carry four printed averages
 that disagree with their own raw arrays, and the raw arrays are treated as
 ground truth.
 
-A saved batch holds only facts: its config digest, mode, seeds, number of
-evaluation blocks and trials. Each task's row is derived from its trials by
-:func:`task_row`, so no stored row can disagree with them.
+A saved batch holds only its config (every :class:`BenchConfig` field but
+``out_dir``) and its trials, which must be exactly the config's grid, so the
+batch can be re-run from its own output. Its mode, seeds, number of
+evaluation blocks and digest are read from the config, and each task's row
+is derived from its trials by :func:`task_row`.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from typing import Optional, Sequence
 
-from .episode import (MODES, EpisodeConfig, Outcome, TrialResult,
+from .episode import (EpisodeConfig, Outcome, TrialResult,
                       require_positive_ints, run_trial)
 from .errors import ConfigError, EmptyInput, IoError, SchemaViolation
 from .simenv import TASK_IDS, load_scenario
@@ -59,9 +61,9 @@ class BenchConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        if not isinstance(self.tasks, (tuple, list)):
-            raise ConfigError("tasks must be a tuple or list of task ids, "
-                              f"got {self.tasks!r}")
+        if not isinstance(self.tasks, (tuple, list)) or not self.tasks:
+            raise ConfigError("tasks must be a non-empty tuple or list of "
+                              f"task ids, got {self.tasks!r}")
         bad = [t for t in self.tasks if type(t) is not int or t not in TASK_IDS]
         if bad:
             raise ConfigError(f"unknown task ids {bad}")
@@ -80,6 +82,11 @@ class BenchConfig:
         doc = json.dumps({**asdict(self), "out_dir": None}, sort_keys=True,
                          default=list)
         return hashlib.sha256(doc.encode()).hexdigest()[:12]
+
+    def seeds(self) -> range:
+        """Each task's trial seeds, in the order they run."""
+        return range(self.base_seed,
+                     self.base_seed + self.evals * self.trials_per_eval)
 
     def episode_config(self) -> EpisodeConfig:
         return EpisodeConfig(mode=self.mode,
@@ -113,35 +120,42 @@ def task_row(task_id: int, trials: Sequence[TrialResult],
                    dict(Counter(t.outcome.value for t in trials)))
 
 
-_DOC_KEYS = frozenset({"config_digest", "mode", "seeds", "evals", "trials"})
-_TRIAL_KEYS = frozenset({"task_id", "seed", "outcome", "ticks_elapsed",
-                         "detail"})
+_CONFIG_KEYS = tuple(f.name for f in fields(BenchConfig)
+                     if f.name != "out_dir")
+_TRIAL_KEYS = ("task_id", "seed", "outcome", "ticks_elapsed", "detail")
+
+
+def _exact_keys(doc, keys: tuple, what: str):
+    """``doc``, when it is an object with exactly ``keys``."""
+    if not isinstance(doc, dict):
+        raise SchemaViolation(f"batch: {what} must be an object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise SchemaViolation(f"batch: missing field {missing[0]!r}")
+    extra = set(doc) - set(keys)
+    if extra:
+        raise SchemaViolation(f"batch: unknown fields {sorted(extra)}")
+    return doc
 
 
 def _trial_ok(trial: TrialResult) -> bool:
     return (all(type(n) is int for n in
                 (trial.task_id, trial.seed, trial.ticks_elapsed))
-            and trial.task_id in TASK_IDS and trial.ticks_elapsed >= 0
-            and isinstance(trial.detail, str))
+            and trial.ticks_elapsed >= 0 and isinstance(trial.detail, str))
 
 
 @dataclass
 class EvalBatch:
-    config_digest: str
-    mode: str
-    seeds: list
-    evals: int
+    config: BenchConfig
     trials: list = field(default_factory=list)  # TrialResult
 
     @property
     def rows(self) -> list:
-        """Each task's :func:`task_row`, in the order its trials first
-        appear."""
-        by_task: dict = {}
-        for trial in self.trials:
-            by_task.setdefault(trial.task_id, []).append(trial)
-        return [task_row(task_id, trials, self.evals)
-                for task_id, trials in by_task.items()]
+        """Each task's :func:`task_row`, in the config's task order."""
+        return [task_row(task_id,
+                         [t for t in self.trials if t.task_id == task_id],
+                         self.config.evals)
+                for task_id in self.config.tasks]
 
     def row_for(self, task_id: int) -> TaskRow:
         for row in self.rows:
@@ -150,11 +164,9 @@ class EvalBatch:
         raise KeyError(task_id)
 
     def to_doc(self) -> dict:
+        config = {key: getattr(self.config, key) for key in _CONFIG_KEYS}
         return {
-            "config_digest": self.config_digest,
-            "mode": self.mode,
-            "seeds": self.seeds,
-            "evals": self.evals,
+            "config": {**config, "tasks": list(self.config.tasks)},
             "trials": [{"task_id": t.task_id, "seed": t.seed,
                         "outcome": t.outcome.value,
                         "ticks_elapsed": t.ticks_elapsed,
@@ -167,48 +179,31 @@ class EvalBatch:
 
         Raises SchemaViolation when ``doc`` is not such a document.
         """
+        _exact_keys(doc, ("config", "trials"), "document")
         try:
-            batch = cls(doc["config_digest"], doc["mode"], doc["seeds"],
-                        doc["evals"],
-                        [TrialResult(t["task_id"], t["seed"],
-                                     Outcome(t["outcome"]),
-                                     t["ticks_elapsed"], None,
-                                     t.get("detail", ""))
-                         for t in doc["trials"]])
-        except KeyError as exc:
-            raise SchemaViolation(f"batch: missing field {exc}") from None
+            config = BenchConfig(**_exact_keys(doc["config"], _CONFIG_KEYS,
+                                               "config"))
+        except ConfigError as exc:
+            raise SchemaViolation(f"batch: config: {exc}") from None
+        try:
+            trials = [TrialResult(t["task_id"], t["seed"],
+                                  Outcome(t["outcome"]), t["ticks_elapsed"],
+                                  None, t["detail"])
+                      for t in (_exact_keys(t, _TRIAL_KEYS, "trial")
+                                for t in doc["trials"])]
         except (TypeError, ValueError) as exc:
             raise SchemaViolation(f"batch: {exc}") from None
-        extra = set(doc) - _DOC_KEYS
-        for trial in doc["trials"]:
-            extra |= set(trial) - _TRIAL_KEYS
-        if extra:
-            raise SchemaViolation(f"batch: unknown fields {sorted(extra)}")
-        if not isinstance(batch.seeds, list) or not batch.seeds or any(
-                type(s) is not int for s in batch.seeds):
-            raise SchemaViolation("batch: seeds must be a non-empty list "
-                                  "of ints")
-        if type(batch.evals) is not int or batch.evals < 1 \
-                or len(batch.seeds) % batch.evals:
+        if not all(map(_trial_ok, trials)):
             raise SchemaViolation(
-                "batch: evals must be an int >= 1 that divides the "
-                f"{len(batch.seeds)} seeds, got {batch.evals!r}")
-        if batch.mode not in MODES or not isinstance(batch.config_digest, str):
-            raise SchemaViolation(f"batch: mode must be one of {MODES} and "
-                                  "config_digest a string")
-        if not all(map(_trial_ok, batch.trials)):
+                "batch: trials need an int task_id and seed, a non-negative "
+                "int ticks_elapsed and a string detail")
+        if [(t.task_id, t.seed) for t in trials] != [
+                (task_id, seed) for task_id in config.tasks
+                for seed in config.seeds()]:
             raise SchemaViolation(
-                f"batch: trials need a task_id in {TASK_IDS}, an int seed, "
-                "a non-negative int ticks_elapsed and a string detail")
-        cells = sorted((t.task_id, t.seed) for t in batch.trials)
-        wanted = sorted((task_id, seed)
-                        for task_id in {t.task_id for t in batch.trials}
-                        for seed in batch.seeds)
-        if len(set(batch.seeds)) != len(batch.seeds) or cells != wanted:
-            raise SchemaViolation(
-                "batch: trials must be one per (task_id, seed), and seeds "
-                "may not repeat")
-        return batch
+                "batch: trials must be the config's grid, one per (task_id, "
+                "seed) in task-then-seed order, none missing or repeated")
+        return cls(config, trials)
 
 
 def _make_backend(config: BenchConfig):
@@ -228,19 +223,12 @@ def run_bench(config: BenchConfig) -> EvalBatch:
             raise IoError(f"cannot create {config.out_dir}: {exc}") from None
     backend = _make_backend(config)
     episode_config = config.episode_config()
-    seeds = [config.base_seed + i
-             for i in range(config.evals * config.trials_per_eval)]
-    batch = EvalBatch(config.digest(), config.mode, seeds, config.evals)
+    batch = EvalBatch(config)
     for task_id in config.tasks:
         batch.trials.extend(run_trial(task_id, seed, episode_config, backend)
-                            for seed in seeds)
+                            for seed in config.seeds())
     if config.out_dir:
-        path = os.path.join(config.out_dir, "batch.json")
-        try:
-            with open(path, "w", encoding="utf-8") as sink:
-                json.dump(batch.to_doc(), sink, indent=2, sort_keys=True)
-        except OSError as exc:
-            raise IoError(f"cannot write batch to {path}: {exc}") from None
+        emit_report(batch, "json", os.path.join(config.out_dir, "batch.json"))
     return batch
 
 
@@ -300,9 +288,10 @@ def emit_report(batch: EvalBatch, fmt: str = "md",
             lines.append(f"| {row.category} | task {row.task_id} | "
                          f"{_fmt(row.avg, row.std)} |")
         lines.append("")
-        lines.append(f"mode: {batch.mode}; config: {batch.config_digest}; "
-                     f"seeds: {batch.seeds[0]}..{batch.seeds[-1]} "
-                     f"({len(batch.seeds)} per task)")
+        seeds = batch.config.seeds()
+        lines.append(f"mode: {batch.config.mode}; "
+                     f"config: {batch.config.digest()}; "
+                     f"seeds: {seeds[0]}..{seeds[-1]} ({len(seeds)} per task)")
         lines.append("std convention: sample standard deviation (n-1) over "
                      "the evaluation columns")
         text = "\n".join(lines) + "\n"
@@ -312,8 +301,9 @@ def emit_report(batch: EvalBatch, fmt: str = "md",
             evals = ";".join(f"{p:g}" for p in row.eval_percentages)
             lines.append(f"{row.category},{row.task_id},{row.avg:g},"
                          f"{row.std:.6g},{evals}")
-        lines.append(f"# mode={batch.mode} config={batch.config_digest} "
-                     f"n_seeds={len(batch.seeds)}")
+        lines.append(f"# mode={batch.config.mode} "
+                     f"config={batch.config.digest()} "
+                     f"n_seeds={len(batch.config.seeds())}")
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         text = json.dumps(batch.to_doc(), indent=2, sort_keys=True) + "\n"

@@ -102,6 +102,14 @@ def test_config_validation():
         BenchConfig(backend="carrier-pigeon")
 
 
+@pytest.mark.parametrize("tasks", [(), []])
+def test_config_and_batch_refuse_an_empty_task_list(tasks):
+    with pytest.raises(ConfigError, match="non-empty"):
+        BenchConfig(tasks=tasks)
+    with pytest.raises(SchemaViolation, match="non-empty"):
+        EvalBatch.from_doc(batch_doc([], tasks=list(tasks)))
+
+
 @pytest.mark.parametrize("field, value", [
     ("trials_per_eval", 2.5), ("trials_per_eval", "3"),
     ("trials_per_eval", True), ("evals", True), ("evals", 2.0),
@@ -134,6 +142,34 @@ def test_batch_round_trips_through_json(tmp_path):
     assert restored.to_doc() == batch.to_doc()
 
 
+def test_batch_json_is_the_json_report(tmp_path):
+    batch = run_bench(small_config(out_dir=str(tmp_path)))
+    assert (tmp_path / "batch.json").read_text() == emit_report(batch, "json")
+
+
+def test_batch_reproduces_itself():
+    doc = run_bench(small_config(tasks=(1, 8), trials_per_eval=1)).to_doc()
+    assert sorted(doc) == ["config", "trials"]
+    config = EvalBatch.from_doc(json.loads(json.dumps(doc))).config
+    assert config.out_dir is None
+    assert run_bench(config).to_doc() == doc
+
+
+def batch_doc(trials, **config):
+    """A batch document of ``trials`` (task_id, seed, outcome) under a config
+    of task 1 and one seed, with ``config``'s fields set."""
+    config = {"tasks": [1], "mode": "full", "trials_per_eval": 1, "evals": 1,
+              "base_seed": 0, "backend": "scripted", "memory_period": 100,
+              "deliberative_period": 1000, **config}
+    return {"config": config,
+            "trials": [{"task_id": t, "seed": s, "outcome": o,
+                        "ticks_elapsed": 12, "detail": ""}
+                       for t, s, o in trials]}
+
+
+# "batch" sets a field of the batch's config, "doc" one of the document and
+# "trial" one of its trial; new cases go last, as a list value's test id is
+# its position
 @pytest.mark.parametrize("where, field, value", [
     ("batch", "evals", 0), ("batch", "evals", True), ("batch", "evals", 1.0),
     ("batch", "evals", "1"), ("batch", "evals", 2), ("batch", "rows", []),
@@ -143,25 +179,58 @@ def test_batch_round_trips_through_json(tmp_path):
     ("trial", "task_id", None), ("trial", "detail", [1]),
     ("trial", "task_id", 42), ("trial", "ticks_elapsed", -12),
     ("trial", "extra", 1), ("batch", "extra", 1), ("trial", "seed", 7),
+    ("batch", "base_seed", "a"), ("batch", "base_seed", True),
+    ("batch", "tasks", []), ("batch", "tasks", [4]), ("batch", "tasks", 3),
+    ("batch", "out_dir", None), ("batch", "out_dir", "x"),
+    ("batch", "trials_per_eval", 2), ("batch", "backend", "carrier-pigeon"),
+    ("batch", "memory_period", 0), ("batch", "deliberative_period", 1.5),
+    ("doc", "rows", []), ("doc", "config_digest", "x"), ("doc", "extra", 1),
+    ("doc", "config", [1]), ("doc", "trials", 5), ("doc", "trials", {}),
+    ("trial", "seed", True), ("trial", "task_id", True),
+    ("trial", "outcome", "Won"), ("trial", "detail", None),
 ])
 def test_batch_with_mistyped_field_rejected(where, field, value):
-    trial = {"task_id": 3, "seed": 0, "outcome": "Success",
-             "ticks_elapsed": 12, "detail": ""}
-    doc = {"config_digest": "x", "mode": "full", "seeds": [0], "evals": 1,
-           "trials": [trial]}
+    doc = batch_doc([(3, 0, "Success")], tasks=[3])
     EvalBatch.from_doc(doc)
-    {"trial": trial, "batch": doc}[where][field] = value
+    {"trial": doc["trials"][0], "batch": doc["config"], "doc": doc}[where][
+        field] = value
     with pytest.raises(SchemaViolation):
+        EvalBatch.from_doc(doc)
+
+
+@pytest.mark.parametrize("where, field", [
+    ("doc", "config"), ("doc", "trials"),
+    *(("batch", key) for key in harness._CONFIG_KEYS),
+    *(("trial", key) for key in harness._TRIAL_KEYS),
+])
+def test_batch_missing_a_field_rejected(where, field):
+    doc = batch_doc([(3, 0, "Success")], tasks=[3])
+    del {"trial": doc["trials"][0], "batch": doc["config"], "doc": doc}[
+        where][field]
+    with pytest.raises(SchemaViolation, match=f"missing field '{field}'"):
+        EvalBatch.from_doc(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"config_digest": "x", "mode": "full", "seeds": [0], "evals": 1,
+     "trials": []},
+    {"config_digest": "x", "mode": "full", "seeds": [0],
+     "rows": [{"task_id": 1, "category": "physical",
+               "eval_percentages": [0.0], "avg": 0.0, "std": 0.0,
+               "outcomes": {"Failure": 1}}],
+     "trials": [{"task_id": 1, "seed": 0, "outcome": "Failure",
+                 "ticks_elapsed": 12, "detail": ""}]},
+], ids=["digest_mode_seeds_evals", "stored_rows"])
+def test_batch_in_an_older_format_rejected(doc):
+    with pytest.raises(SchemaViolation, match="missing field 'config'"):
         EvalBatch.from_doc(doc)
 
 
 def test_batch_repeating_a_trial_rejected():
     # two Success trials of one (task, seed): as many trials as seeds, yet
     # no batch run_bench writes repeats a cell
-    trial = {"task_id": 3, "seed": 0, "outcome": "Success",
-             "ticks_elapsed": 12, "detail": ""}
-    doc = {"config_digest": "x", "mode": "full", "seeds": [0, 1], "evals": 1,
-           "trials": [trial, dict(trial)]}
+    doc = batch_doc([(3, 0, "Success"), (3, 0, "Success")], tasks=[3],
+                    trials_per_eval=2)
     with pytest.raises(SchemaViolation, match="repeat"):
         EvalBatch.from_doc(doc)
     doc["trials"][1]["seed"] = 1
@@ -181,19 +250,15 @@ def test_backend_error_ends_trials_not_the_batch(monkeypatch):
     assert EvalBatch.from_doc(batch.to_doc()).to_doc() == batch.to_doc()
 
 
-def batch_doc(seeds, evals, trials):
-    """A batch document of ``trials`` (task_id, seed, outcome)."""
-    return {"config_digest": "x", "mode": "full", "seeds": seeds,
-            "evals": evals,
-            "trials": [{"task_id": t, "seed": s, "outcome": o,
-                        "ticks_elapsed": 12, "detail": ""}
-                       for t, s, o in trials]}
-
-
 @pytest.mark.parametrize("doc", [
-    batch_doc([0, 0], 1, [(1, 0, "Failure")]),
-    batch_doc([0, 1], 1, [(1, 0, "Failure")]),
-], ids=["repeated_seed", "missing_cell"])
+    batch_doc([(1, 0, "Failure"), (1, 0, "Failure")], evals=2),
+    batch_doc([(1, 0, "Failure")], trials_per_eval=2),
+    batch_doc([(1, 1, "Failure"), (1, 0, "Failure")], trials_per_eval=2),
+    batch_doc([(4, 0, "Failure"), (1, 0, "Failure")], tasks=[1, 4]),
+    batch_doc([(1, 0, "Failure"), (4, 0, "Failure")]),
+    batch_doc([(1, 0, "Failure")], tasks=[1, 4]),
+], ids=["repeated_seed", "missing_cell", "seeds_out_of_order",
+        "tasks_out_of_order", "task_outside_config", "missing_task"])
 def test_batch_without_one_trial_per_task_and_seed_rejected(doc):
     with pytest.raises(SchemaViolation):
         EvalBatch.from_doc(doc)
@@ -279,7 +344,7 @@ def test_injected_backend_fault_ends_its_trial_classified(task_id, seed, data):
 # -- reports -------------------------------------------------------------------
 
 def test_all_100_formats_as_100_pm_0():
-    batch = EvalBatch("deadbeef", "full", list(range(8)), 8,
+    batch = EvalBatch(BenchConfig(tasks=(1,), trials_per_eval=1, evals=8),
                       [TrialResult(1, seed, Outcome.SUCCESS, 0)
                        for seed in range(8)])
     text = emit_report(batch, "md")
@@ -316,8 +381,7 @@ def test_reports_of_derived_rows_are_pinned(tasks, md_sha256, csv_sha256):
 def test_report_includes_run_metadata():
     batch = run_bench(small_config())
     text = emit_report(batch, "md")
-    assert batch.config_digest in text
-    assert "seeds" in text
+    assert f"mode: full; config: {batch.config.digest()}; seeds: 0..5" in text
 
 
 def test_report_unknown_format_rejected():
@@ -390,11 +454,11 @@ def test_cli_json_report_loads_back_as_the_same_trials(tmp_path, capsys):
         "task_duplicate", "report_too_deep",
         "aggregate_too_deep", "report_not_utf8", "aggregate_not_utf8"])
 def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
-    (tmp_path / "no_mode.json").write_text(json.dumps(
-        {"config_digest": "x", "seeds": [], "evals": 1, "trials": []}))
+    no_mode = batch_doc([(1, 0, "Failure")])
+    del no_mode["config"]["mode"]
+    (tmp_path / "no_mode.json").write_text(json.dumps(no_mode))
     (tmp_path / "no_seeds.json").write_text(json.dumps(
-        {"config_digest": "x", "mode": "full", "seeds": [], "evals": 1,
-         "trials": []}))
+        batch_doc([], trials_per_eval=0)))
     (tmp_path / "list.json").write_text(json.dumps([1, 2]))
     (tmp_path / "strings.json").write_text(json.dumps({"row": ["a"]}))
     (tmp_path / "nan.json").write_text(json.dumps({"a": [math.nan, 1]}))
@@ -403,17 +467,15 @@ def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "too_deep.json").write_text(TOO_DEEP)
     (tmp_path / "not_utf8.json").write_bytes(b'{"a": [1\xff]}')
     (tmp_path / "regular_file").write_text("")
-    # a batch.json as written when each row was stored beside its trials
+    # a batch.json as written before its config was stored
     (tmp_path / "old_format.json").write_text(json.dumps(
-        {"config_digest": "x", "mode": "full", "seeds": [0],
-         "rows": [{"task_id": 1, "category": "physical",
-                   "eval_percentages": [0.0], "avg": 0.0, "std": 0.0,
-                   "outcomes": {"Failure": 1}}],
+        {"config_digest": "x", "mode": "full", "seeds": [0], "evals": 1,
          "trials": [{"task_id": 1, "seed": 0, "outcome": "Failure",
                      "ticks_elapsed": 12, "detail": ""}]}))
+    # three trials are not two evaluation blocks of one seed
     for name, evals in [("evals_zero", 0), ("evals_not_dividing", 2)]:
         (tmp_path / f"{name}.json").write_text(json.dumps(batch_doc(
-            [0, 1, 2], evals, [(1, s, "Failure") for s in range(3)])))
+            [(1, s, "Failure") for s in range(3)], evals=evals)))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
