@@ -197,9 +197,13 @@ class EvalBatch:
             raise SchemaViolation(
                 "batch: trials need an int task_id and seed, a non-negative "
                 "int ticks_elapsed and a string detail")
-        if [(t.task_id, t.seed) for t in trials] != [
-                (task_id, seed) for task_id in config.tasks
-                for seed in config.seeds()]:
+        # The length test comes first: the config's grid may be far larger
+        # than the document, and is only walked as far as its trials go.
+        grid = ((task_id, seed) for task_id in config.tasks
+                for seed in config.seeds())
+        if len(trials) != (len(config.tasks) * config.evals
+                           * config.trials_per_eval) or any(
+                (t.task_id, t.seed) != cell for t, cell in zip(trials, grid)):
             raise SchemaViolation(
                 "batch: trials must be the config's grid, one per (task_id, "
                 "seed) in task-then-seed order, none missing or repeated")

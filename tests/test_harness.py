@@ -257,8 +257,11 @@ def test_backend_error_ends_trials_not_the_batch(monkeypatch):
     batch_doc([(4, 0, "Failure"), (1, 0, "Failure")], tasks=[1, 4]),
     batch_doc([(1, 0, "Failure"), (4, 0, "Failure")]),
     batch_doc([(1, 0, "Failure")], tasks=[1, 4]),
+    batch_doc([], evals=10 ** 12),
+    batch_doc([(1, 0, "Failure")], evals=10 ** 12, trials_per_eval=10 ** 12),
 ], ids=["repeated_seed", "missing_cell", "seeds_out_of_order",
-        "tasks_out_of_order", "task_outside_config", "missing_task"])
+        "tasks_out_of_order", "task_outside_config", "missing_task",
+        "huge_grid_no_trials", "grid_past_ssize_t"])
 def test_batch_without_one_trial_per_task_and_seed_rejected(doc):
     with pytest.raises(SchemaViolation):
         EvalBatch.from_doc(doc)
@@ -439,6 +442,7 @@ def test_cli_json_report_loads_back_as_the_same_trials(tmp_path, capsys):
     ["report", "--input", "{tmp}/old_format.json"],
     ["report", "--input", "{tmp}/evals_zero.json", "--format", "csv"],
     ["report", "--input", "{tmp}/evals_not_dividing.json"],
+    ["report", "--input", "{tmp}/huge_grid.json"],
     ["aggregate", "--input", "{tmp}/nan.json"],
     ["aggregate", "--input", "{tmp}/infinity.json"],
     ["run", "--task", "1,1", "--trials", "1", "--evals", "1"],
@@ -450,7 +454,7 @@ def test_cli_json_report_loads_back_as_the_same_trials(tmp_path, capsys):
         "report_no_mode", "report_not_json", "aggregate_missing",
         "out_under_file", "aggregate_list", "aggregate_strings",
         "report_no_seeds", "report_old_format", "report_evals_zero",
-        "report_evals_not_dividing", "aggregate_nan", "aggregate_infinity",
+        "report_evals_not_dividing", "report_huge_grid", "aggregate_nan", "aggregate_infinity",
         "task_duplicate", "report_too_deep",
         "aggregate_too_deep", "report_not_utf8", "aggregate_not_utf8"])
 def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
@@ -476,6 +480,9 @@ def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
     for name, evals in [("evals_zero", 0), ("evals_not_dividing", 2)]:
         (tmp_path / f"{name}.json").write_text(json.dumps(batch_doc(
             [(1, s, "Failure") for s in range(3)], evals=evals)))
+    # a config whose grid is far larger than its trials
+    (tmp_path / "huge_grid.json").write_text(json.dumps(
+        batch_doc([], evals=10 ** 12)))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
