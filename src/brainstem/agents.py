@@ -7,8 +7,9 @@ that triggers replans. Numeric maps are fixed deterministic realizations
 (hash embedders, convex blends); correctness claims target the composition
 laws, not learned behaviour.
 
-The contract layer parses and validates the leader / worker / provider JSON
-documents emitted by a pluggable completion backend.
+The contract layer parses the leader / worker / provider JSON documents a
+pluggable completion backend emits and returns each one as it is, once its
+contract check passes.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, SchemaViolation, UnknownModality
-from .protocol import (collaboration_decision_problems,
+from .errors import DimensionMismatch, UnknownModality
+from .protocol import (checked, collaboration_decision_problems,
                        decomposition_plan_problems, parse_json,
                        provider_response_problems)
 
@@ -186,68 +187,26 @@ def inspect_alignment(plan_vec, semantic_vec,
 # role contracts over a completion backend
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecompositionPlan:
-    difficulty: str
-    subtasks: tuple
-
-    @classmethod
-    def from_doc(cls, doc: object) -> "DecompositionPlan":
-        problems = decomposition_plan_problems(doc)
-        if problems:
-            raise SchemaViolation(problems)
-        return cls(doc["difficulty"], tuple(dict(s) for s in doc["subtasks"]))
-
-    def to_doc(self) -> dict:
-        return {"difficulty": self.difficulty,
-                "subtasks": [dict(s) for s in self.subtasks]}
-
-
-@dataclass(frozen=True)
-class CollaborationDecision:
-    collaboration_required: bool
-    requirement: tuple
-
-    @classmethod
-    def from_doc(cls, doc: object) -> "CollaborationDecision":
-        problems = collaboration_decision_problems(doc)
-        if problems:
-            raise SchemaViolation(problems)
-        return cls(doc["collaboration_required"],
-                   tuple(dict(r) for r in doc["requirement"]))
-
-
-@dataclass(frozen=True)
-class ProviderResponse:
-    response: str
-
-
-def plan_mission(mission: str, backend) -> DecompositionPlan:
-    """Leader decomposition: the validated plan.
-
-    The plan document is checked against the leader contract, dependency
-    annotations included, before anything downstream sees it.
-    """
+def plan_mission(mission: str, backend) -> dict:
+    """Leader decomposition: the plan document, once it passes the leader
+    contract, dependency annotations included."""
     text = backend.complete("leader", mission)
-    return DecompositionPlan.from_doc(parse_json(text, "plan"))
+    return checked(parse_json(text, "plan"), decomposition_plan_problems)
 
 
-def worker_reflect(subtask: Mapping, registry, backend
-                   ) -> CollaborationDecision:
-    """Self-reflection on a subtask: parsed, contract-valid, and asking only
-    colleagues that ``registry.check_worker`` accepts."""
+def worker_reflect(subtask: Mapping, registry, backend) -> dict:
+    """Self-reflection on a subtask: the contract-valid decision document,
+    asking only colleagues that ``registry.check_worker`` accepts."""
     text = backend.complete("worker", subtask["task_description"])
-    decision = CollaborationDecision.from_doc(parse_json(text, "decision"))
-    for request in decision.requirement:
+    decision = checked(parse_json(text, "decision"),
+                       collaboration_decision_problems)
+    for request in decision["requirement"]:
         registry.check_worker(request["worker_id"])
     return decision
 
 
-def provider_execute(request: Mapping, backend) -> ProviderResponse:
-    """Execute a colleague-requested subtask and certify the result."""
+def provider_execute(request: Mapping, backend) -> dict:
+    """Execute a colleague-requested subtask: the contract-valid response
+    document."""
     text = backend.complete("provider", request["request_detail"])
-    doc = parse_json(text, "response")
-    problems = provider_response_problems(doc)
-    if problems:
-        raise SchemaViolation(problems)
-    return ProviderResponse(doc["response"])
+    return checked(parse_json(text, "response"), provider_response_problems)

@@ -3,7 +3,8 @@
 Every agent role talks text-in/text-out. The scripted backend maps
 (role, scenario key) to canned contract-conformant documents so whole runs
 are reproducible without any model in the loop; the remote adapter posts the
-rendered prompt to a completion endpoint with bounded retries.
+rendered prompt to a completion endpoint with bounded retries, and reads at
+most ``MAX_REPLY_BYTES`` of its reply.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from typing import Mapping, Optional
 from .errors import BackendError
 
 MAX_RETRIES = 3
+# longest remote reply read, in bytes; a longer one is refused, not retried
+MAX_REPLY_BYTES = 1 << 20
 
 
 def _plan(difficulty, *subtasks):
@@ -216,7 +219,15 @@ class RemoteBackend:
             try:
                 with urllib.request.urlopen(request,
                                             timeout=self.timeout) as reply:
-                    return reply.read().decode("utf-8")
+                    data = reply.read(MAX_REPLY_BYTES + 1)
+                    if len(data) > MAX_REPLY_BYTES:  # not retried
+                        raise BackendError(f"remote reply is longer than "
+                                           f"{MAX_REPLY_BYTES} bytes")
+                    if reply.length:
+                        # a bounded read returns a body shorter than its
+                        # Content-Length without raising
+                        raise http.client.IncompleteRead(data, reply.length)
+                return data.decode("utf-8")
             except (urllib.error.URLError, http.client.HTTPException,
                     OSError, ValueError) as exc:
                 last_error = exc

@@ -62,7 +62,7 @@ from .agents import EMBED_DIM, plan_mission, provider_execute, worker_reflect
 from .backends import ScriptedBackend
 from .bus import MessageBus
 from .errors import BackendError, ConfigError, EmptyActionSet, SchemaViolation
-from .pipeline import RateConfig, ReviewDecision, run_scheduler, state_review
+from .pipeline import RateConfig, run_scheduler, state_review
 from .planner import generate_state_tree, select_action
 from .protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
                        PayloadKind, make_envelope, tick_to_timestamp)
@@ -212,19 +212,17 @@ class EpisodeRuntime:
         Raises on a backend error or a malformed reply, before any publish.
         """
         self.plan = plan_mission(self.scenario.mission, self.backend)
-        plan_doc = self.plan.to_doc()
-        self.registry.validate_assignment(plan_doc)
-        messages = [(PayloadKind.SUBTASK_ASSIGN, plan_doc, "Leader_1")]
-        if self.plan.difficulty != "high":
+        self.registry.validate_assignment(self.plan)
+        messages = [(PayloadKind.SUBTASK_ASSIGN, self.plan, "Leader_1")]
+        if self.plan["difficulty"] != "high":
             return messages
-        for subtask in self.plan.subtasks:
+        for subtask in self.plan["subtasks"]:
+            # the contract leaves requirement empty unless collaboration
+            # is required
             decision = worker_reflect(subtask, self.registry, self.backend)
-            if not decision.collaboration_required:
-                continue
-            for request in decision.requirement:
-                response = provider_execute(request, self.backend)
+            for request in decision["requirement"]:
                 messages.append((PayloadKind.AGENT_RESPONSE,
-                                 {"response": response.response},
+                                 provider_execute(request, self.backend),
                                  request["worker_id"]))
         return messages
 
@@ -303,8 +301,8 @@ class EpisodeRuntime:
     def _memory_step(self, tick: int) -> None:
         if self.done is not None:
             return
-        if state_review(self.tracked_symbol, self.scenario.symbol_of(
-                self.world)) is ReviewDecision.REPLAN:
+        if state_review(self.tracked_symbol,
+                        self.scenario.symbol_of(self.world)):
             self.replan_requested = True
 
     # -- main loop -------------------------------------------------------------

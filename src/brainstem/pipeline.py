@@ -12,7 +12,6 @@ round never displaces a reactive tick.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,15 +84,9 @@ def relay_update(latent: LatentState, action_vec, task_memory, frontier_vec,
 # state review
 # ---------------------------------------------------------------------------
 
-class ReviewDecision(str, Enum):
-    KEEP = "Keep"
-    REPLAN = "Replan"
-
-
-def state_review(expected: str, observed: str) -> ReviewDecision:
-    """Expected vs observed world symbol: any change demands a replan."""
-    return (ReviewDecision.REPLAN if observed != expected
-            else ReviewDecision.KEEP)
+def state_review(expected: str, observed: str) -> bool:
+    """Whether a replan is due: any change of the world symbol demands one."""
+    return observed != expected
 
 
 # ---------------------------------------------------------------------------

@@ -224,8 +224,7 @@ def make_envelope(header: MessageHeader, payload: Payload,
                   allocator: LogIdAllocator) -> Envelope:
     """Validate, checksum and stamp a new envelope."""
     validate_header(header)
-    body = validate_schema(payload.kind, payload.body)
-    payload = Payload(payload.kind, body)
+    validate_schema(payload.kind, payload.body)
     log_id = allocator.allocate()
     checksum = compute_checksum(canonicalize(header, payload, log_id))
     return Envelope(header, payload, checksum, log_id)
@@ -351,6 +350,15 @@ def _check_keys(body: dict, required: dict, optional: dict, problems: list,
     for name in body:
         if name not in required and name not in optional:
             problems.append(f"{prefix}{name}: unknown field")
+
+
+def checked(doc: Any, problems_of) -> Any:
+    """``doc`` unchanged when ``problems_of(doc)`` finds no violation;
+    otherwise SchemaViolation listing every one."""
+    problems = problems_of(doc)
+    if problems:
+        raise SchemaViolation(problems)
+    return doc
 
 
 def decomposition_plan_problems(doc: Any) -> list:
@@ -518,7 +526,4 @@ def validate_schema(kind: PayloadKind, body: dict) -> dict:
         raise SchemaViolation(f"kind: {kind!r} is not registered")
     if not isinstance(body, dict):
         raise SchemaViolation("body: expected a document")
-    problems = _SCHEMAS[kind](body)
-    if problems:
-        raise SchemaViolation(problems)
-    return body
+    return checked(body, _SCHEMAS[kind])

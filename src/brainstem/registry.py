@@ -1,4 +1,4 @@
-"""Agent registration, expertise lookup, assignment constraints, fault recovery."""
+"""Agent registration, assignment constraints, fault recovery."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import logging
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import DuplicateId, IoError, NotFailed, SchemaViolation
 from .protocol import Importance
@@ -98,24 +98,6 @@ class AgentRegistry:
                    if a.status is AgentStatus.ACTIVE
                    and (role is None or a.role is role)]
             return sorted(out, key=lambda a: a.agent_id)
-
-    # -- expertise routing -------------------------------------------------------
-
-    def lookup_by_expertise(self, tags: Iterable[str]) -> list:
-        """Active workers ranked by descending tag overlap, then agent id.
-
-        Workers with zero overlap are omitted.
-        """
-        wanted = set(tags)
-        ranked = []
-        with self._lock:
-            for agent in self._agents.values():
-                if agent.role is not Role.WORKER or agent.status is not AgentStatus.ACTIVE:
-                    continue
-                overlap = len(wanted & set(agent.expertise))
-                if overlap > 0:
-                    ranked.append((-overlap, agent.agent_id))
-        return [agent_id for _, agent_id in sorted(ranked)]
 
     def check_worker(self, agent_id: str) -> None:
         """Raise SchemaViolation unless ``agent_id`` is an active worker.

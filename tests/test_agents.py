@@ -216,19 +216,19 @@ def test_threshold_monotone():
 def test_leader_difficulty_examples():
     backend = ScriptedBackend()
     low = plan_mission("walk to the desk", backend)
-    assert low.difficulty == "low"
+    assert low["difficulty"] == "low"
     medium = plan_mission("fetch an apple on the desk", backend)
-    assert medium.difficulty == "medium"
+    assert medium["difficulty"] == "medium"
     high = plan_mission("make a chicken sandwich in the kitchen", backend)
-    assert high.difficulty == "high"
-    assert len(high.subtasks) >= 2
+    assert high["difficulty"] == "high"
+    assert len(high["subtasks"]) >= 2
 
 
 def test_unknown_mission_falls_back_to_generic_plan():
     plan = plan_mission("grab the harry potter book", ScriptedBackend())
-    assert plan.difficulty == "medium"
-    assert len(plan.subtasks) == 1
-    assert "action" not in plan.subtasks[0]
+    assert plan["difficulty"] == "medium"
+    assert len(plan["subtasks"]) == 1
+    assert "action" not in plan["subtasks"][0]
 
 
 def test_scripted_backend_deterministic():
@@ -250,8 +250,8 @@ def test_worker_reflection_contract_example():
     decision = worker_reflect(
         {"task_description": "Compile the quarterly sales report"},
         five_workers(), backend)
-    assert decision.collaboration_required
-    first = decision.requirement[0]
+    assert decision["collaboration_required"]
+    first = decision["requirement"][0]
     assert first["request_id"] == "0001"
     assert first["worker_id"] == "Worker_1"
     assert "sales growth metrics" in first["request_detail"]
@@ -260,8 +260,8 @@ def test_worker_reflection_contract_example():
 def test_worker_reflection_self_sufficient_default():
     decision = worker_reflect({"task_description": "polish the table"},
                               five_workers(), ScriptedBackend())
-    assert not decision.collaboration_required
-    assert decision.requirement == ()
+    assert not decision["collaboration_required"]
+    assert decision["requirement"] == []
 
 
 class UnknownColleagueBackend:
@@ -281,7 +281,7 @@ def test_provider_contract_example():
         {"request_detail": "Verify statistical significance (p<0.05) in "
                            "dataset A/B groups"},
         ScriptedBackend())
-    assert "p=0.032" in response.response
+    assert "p=0.032" in response["response"]
 
 
 def test_provider_empty_response_rejected():
@@ -297,7 +297,7 @@ def test_provider_deterministic():
     backend = ScriptedBackend()
     a = provider_execute({"request_detail": "check the tides"}, backend)
     b = provider_execute({"request_detail": "check the tides"}, backend)
-    assert a.response == b.response
+    assert a["response"] == b["response"]
 
 
 def test_remote_backend_retries_then_raises():

@@ -4,10 +4,11 @@ import http.server
 import json
 import socketserver
 import threading
+from contextlib import contextmanager
 
 import pytest
 
-from brainstem.backends import RemoteBackend
+from brainstem.backends import MAX_REPLY_BYTES, RemoteBackend
 from brainstem.episode import Outcome, run_trial
 from brainstem.errors import BackendError
 
@@ -100,16 +101,24 @@ class _RawEndpoint(socketserver.StreamRequestHandler):
         self.wfile.write(self.server.reply)
 
 
+@contextmanager
+def raw_endpoint(reply):
+    server = socketserver.TCPServer(("127.0.0.1", 0), _RawEndpoint)
+    server.reply, server.requests = reply, 0
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.fixture(params=list(BROKEN_REPLIES.values()),
                 ids=list(BROKEN_REPLIES))
 def broken_endpoint(request):
-    server = socketserver.TCPServer(("127.0.0.1", 0), _RawEndpoint)
-    server.reply, server.requests = request.param, 0
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
+    with raw_endpoint(request.param) as server:
+        yield server
 
 
 def url_of(server):
@@ -131,3 +140,34 @@ def test_http_protocol_error_ends_the_trial_not_the_batch(broken_endpoint):
     assert (result.outcome, result.ticks_elapsed) == (Outcome.HANDLED_ABORT, 0)
     assert result.detail.startswith(
         "backend: remote backend failed after 1 attempts: ")
+
+
+def reply_of(length):
+    """A 200 reply whose body, ``length`` bytes, ends when the server closes."""
+    return b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" + b"x" * length
+
+
+def test_remote_reply_up_to_the_limit_is_read_whole():
+    with raw_endpoint(reply_of(MAX_REPLY_BYTES)) as server:
+        backend = RemoteBackend(url_of(server), timeout=5.0)
+        assert backend.complete("leader", "walk to the desk") == \
+            "x" * MAX_REPLY_BYTES
+
+
+def test_remote_reply_past_the_limit_is_refused_without_a_retry():
+    with raw_endpoint(reply_of(MAX_REPLY_BYTES + 1)) as server:
+        backend = RemoteBackend(url_of(server), retries=3, backoff=0,
+                                timeout=5.0)
+        with pytest.raises(BackendError,
+                           match=f"longer than {MAX_REPLY_BYTES} bytes"):
+            backend.complete("leader", "walk to the desk")
+        assert server.requests == 1
+
+
+def test_remote_reply_past_the_limit_ends_the_trial():
+    with raw_endpoint(reply_of(MAX_REPLY_BYTES + 1)) as server:
+        result = run_trial(1, 0, backend=RemoteBackend(
+            url_of(server), retries=3, backoff=0, timeout=5.0))
+    assert (result.outcome, result.ticks_elapsed) == (Outcome.HANDLED_ABORT, 0)
+    assert result.detail == (f"backend: remote reply is longer than "
+                             f"{MAX_REPLY_BYTES} bytes")

@@ -3,8 +3,7 @@ import pytest
 
 from brainstem.errors import DimensionMismatch
 from brainstem.pipeline import (LatentState, RateConfig, RelayMap,
-                                ReviewDecision, relay_update, run_scheduler,
-                                state_review)
+                                relay_update, run_scheduler, state_review)
 
 
 def relay(dim=4, seed=3):
@@ -72,11 +71,11 @@ def test_relay_dimension_checks():
 # -- state review --------------------------------------------------------------
 
 def test_same_symbol_keeps():
-    assert state_review("door_open", "door_open") is ReviewDecision.KEEP
+    assert state_review("door_open", "door_open") is False
 
 
 def test_different_symbol_replans():
-    assert state_review("door_open", "apple_missing") is ReviewDecision.REPLAN
+    assert state_review("door_open", "apple_missing") is True
 
 
 # -- scheduler ----------------------------------------------------------------

@@ -12,8 +12,8 @@ from support import quick_envelope
 H, M, L = Importance.HIGH, Importance.MEDIUM, Importance.LOW
 
 
-def worker(i, expertise=("general",)):
-    return AgentDescriptor(f"Worker_{i}", Role.WORKER, tuple(expertise))
+def worker(i):
+    return AgentDescriptor(f"Worker_{i}", Role.WORKER, ("general",))
 
 
 @pytest.fixture
@@ -43,32 +43,6 @@ def test_worker_needs_expertise(registry):
         registry.register_agent(AgentDescriptor("Worker_9", Role.WORKER, ()))
     # non-worker roles may omit expertise
     registry.register_agent(AgentDescriptor("Leader_1", Role.LEADER, ()))
-
-
-def test_lookup_by_expertise_ranks_by_overlap(registry):
-    registry.register_agent(worker(1, ["data validation", "statistics"]))
-    registry.register_agent(worker(2, ["creativity"]))
-    registry.register_agent(worker(3, ["statistics", "volatility", "creativity"]))
-    assert registry.lookup_by_expertise(["creativity"]) == ["Worker_2", "Worker_3"]
-    ranked = registry.lookup_by_expertise(["statistics", "volatility"])
-    assert ranked == ["Worker_3", "Worker_1"]
-    assert registry.lookup_by_expertise(["welding"]) == []
-
-
-def test_lookup_tie_breaks_by_agent_id(registry):
-    registry.register_agent(worker(2, ["nav"]))
-    registry.register_agent(worker(1, ["nav"]))
-    assert registry.lookup_by_expertise(["nav"]) == ["Worker_1", "Worker_2"]
-
-
-def test_lookup_deterministic(registry):
-    rng = random.Random(3)
-    for i in range(1, 6):
-        registry.register_agent(worker(i, rng.sample(
-            ["a", "b", "c", "d", "e"], 3)))
-    first = registry.lookup_by_expertise(["a", "c"])
-    for _ in range(5):
-        assert registry.lookup_by_expertise(["a", "c"]) == first
 
 
 def plan(*workers):
