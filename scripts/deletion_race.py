@@ -52,8 +52,9 @@ def main() -> int:
               f"deletion (bounded by one deliberative period, "
               f"{config.deliberative_period / TICKS_PER_SECOND:.0f}s)")
     if args.mode == "reactive_only" and not finish_times and not react_delays:
-        print("reactive-only never succeeds and never aborts: it retries the "
-              "grasp blindly until the episode times out")
+        print("reactive-only never succeeds and never aborts: once the "
+              "deletion takes the apple, its grasp can never succeed, and "
+              "the episode ends at its timeout")
     return 0
 
 

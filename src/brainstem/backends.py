@@ -3,8 +3,9 @@
 Every agent role talks text-in/text-out. The scripted backend maps
 (role, scenario key) to canned contract-conformant documents so whole runs
 are reproducible without any model in the loop; the remote adapter posts the
-rendered prompt to a completion endpoint with bounded retries, and reads at
-most ``MAX_REPLY_BYTES`` of its reply.
+rendered prompt to a completion endpoint with bounded retries, reads at most
+``MAX_REPLY_BYTES`` of its reply, and starts no read of a reply's body after
+the attempt's ``timeout``.
 """
 
 from __future__ import annotations
@@ -216,10 +217,21 @@ class RemoteBackend:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             request = urllib.request.Request(self.url, data=body,
                                              headers=headers)
+            # urlopen's timeout bounds each socket read; no read of the body
+            # starts after the attempt's deadline
+            deadline = time.monotonic() + self.timeout
             try:
                 with urllib.request.urlopen(request,
                                             timeout=self.timeout) as reply:
-                    data = reply.read(MAX_REPLY_BYTES + 1)
+                    data = bytearray()
+                    while len(data) <= MAX_REPLY_BYTES:
+                        if time.monotonic() > deadline:
+                            raise TimeoutError(f"no whole reply within "
+                                               f"{self.timeout} s")
+                        chunk = reply.read1(MAX_REPLY_BYTES + 1 - len(data))
+                        if not chunk:
+                            break
+                        data += chunk
                     if len(data) > MAX_REPLY_BYTES:  # not retried
                         raise BackendError(f"remote reply is longer than "
                                            f"{MAX_REPLY_BYTES} bytes")

@@ -7,6 +7,14 @@ and ``ticks_elapsed`` is virtual time alone. Two agent configurations exist
 (see ``MODES``): the full collective and a reactive-only ablation (a slowed
 fixed action script, and only the reactive loop).
 
+The script repeats each action until it succeeds. Once the action can no
+longer change the world (``simenv.can_change``: no scheduled event is due,
+and its precondition fails or it cannot succeed), no later tick can change
+the outcome, so the trial moves the clock to its horizon and ends there as
+the timeout that ticking would reach. Tasks 4 (``port_1`` never takes the
+charger), 5 (the book is never located) and 8 (the deletion takes the apple)
+end this way; a trace written for such a trial stops where it skipped.
+
 The tree-search selector over the scenario's transition model (derived from its
 world rules plus the task's stated beliefs) picks every action the full
 collective takes, and aborts at a dead end. With the world's scheduled events
@@ -35,15 +43,17 @@ each colleague a reflection asks. A reply nested too deeply to parse is
 malformed JSON. The episode's own errors, such as ``make_envelope``'s, still
 raise.
 
-The reactive controller still runs on every tick, with zeros for every input,
-although no decision reads its output. It is over nine tenths of an episode's
-time (a pass of the traced grids takes 1.07-1.10 s with it and 0.060-0.061 s
-without, ~18x), and it stays until ``perfbench``'s traced runs are bounded
-for a program that much faster: without it, ``--trace 1`` needs 697-765
-untraced rounds instead of 43-44 and takes 231-267 s instead of 62-63 s. The
-Bayes filter, the HTN DAG, the latent relay, the episodic memory with its
-broadcast, multimodal fusion and the inspector's drift check are library
-units (``estimator.forward_filter``,
+The reactive controller still runs on every simulated tick, with zeros for
+every input, although no decision reads its output. It is over nine tenths of
+an episode's time (a pass of the traced grids takes 1.07-1.10 s with it and
+0.060-0.061 s without, ~18x), and it stays until ``perfbench``'s traced runs
+are bounded by a round count rather than by summed seconds (ROADMAP item
+1a): with the call deleted, ``perfbench/run.py --trace 1 --seconds 50`` took
+243-244 s over 768-836 untraced rounds on ``grid_full`` and 284-298 s over
+943-1,055 rounds on ``grid_reactive_only`` (two runs each, one 2-vCPU host),
+against about a minute with it. The Bayes filter, the HTN DAG, the latent
+relay, the episodic memory with its broadcast, multimodal fusion and the
+inspector's drift check are library units (``estimator.forward_filter``,
 ``planner.build_htn_dag``, ``pipeline.relay_update``,
 ``memory.memory_update``, ``agents.fuse_observations``,
 ``agents.inspect_alignment``) that the episode does not call.
@@ -69,8 +79,8 @@ from .protocol import (Importance, LogIdAllocator, MessageHeader, Payload,
 from .reactive import ReactiveController, ReactiveGains
 from .registry import AgentDescriptor, AgentRegistry, Role
 from .simenv import (REACTIVE_SLOWDOWN, ScenarioSpec, WorldState,
-                     advance_clock, check_success, load_scenario,
-                     resolve_action, sample_duration)
+                     advance_clock, can_change, check_success,
+                     load_scenario, resolve_action, sample_duration)
 
 MODES = ("full", "reactive_only")
 
@@ -296,6 +306,13 @@ class EpisodeRuntime:
         if not script:
             return
         action = script[min(self.script_index, len(script) - 1)]
+        if not can_change(self.scenario, self.world, action):
+            # the script repeats an action until it succeeds, and this one
+            # never will: end where ticking to the horizon would, timed out
+            advance_clock(self.scenario, self.world,
+                          self.scenario.timeout_ticks)
+            self.done = Outcome.FAILURE
+            return
         self._begin(action)
 
     def _memory_step(self, tick: int) -> None:

@@ -167,6 +167,21 @@ def resolve_action(scenario: ScenarioSpec, world: WorldState, action: str,
             "tick": world.tick}
 
 
+def can_change(scenario: ScenarioSpec, world: WorldState, action: str) -> bool:
+    """Whether doing ``action`` again can still change ``world``.
+
+    It can while a scheduled event is still due, or while the action's
+    precondition holds and its success probability is above 0. No rule reads
+    the clock, so nothing else changes a world: when this is False, every
+    repetition of the action fails and leaves the world as it is.
+    """
+    # fired_events holds the indices of the events that have fired
+    if len(world.fired_events) < len(scenario.scheduled_events):
+        return True
+    rule = scenario.rules[action]
+    return rule.precondition(world) is None and rule.success_prob(world) > 0
+
+
 def step(scenario: ScenarioSpec, world: WorldState, action: str,
          rng: random.Random):
     """(world', observation, events): one whole action, clock included.

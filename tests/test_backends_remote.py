@@ -4,6 +4,7 @@ import http.server
 import json
 import socketserver
 import threading
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -88,7 +89,11 @@ BROKEN_REPLIES = {
 
 
 class _RawEndpoint(socketserver.StreamRequestHandler):
-    """Reads one request, writes the server's raw ``reply`` bytes, closes."""
+    """Reads one request, writes the server's raw ``reply`` bytes, closes.
+
+    With a ``pause`` the head goes at once and then the body one byte per
+    ``pause`` seconds, until the client hangs up.
+    """
 
     def handle(self):
         self.server.requests += 1
@@ -98,13 +103,23 @@ class _RawEndpoint(socketserver.StreamRequestHandler):
             if name.strip().lower() == b"content-length":
                 length = int(value)
         self.rfile.read(length)
-        self.wfile.write(self.server.reply)
+        if not self.server.pause:
+            self.wfile.write(self.server.reply)
+            return
+        head, _, body = self.server.reply.partition(b"\r\n\r\n")
+        try:
+            self.wfile.write(head + b"\r\n\r\n")
+            for byte in body:
+                time.sleep(self.server.pause)
+                self.wfile.write(bytes([byte]))
+        except OSError:  # the client gave up
+            pass
 
 
 @contextmanager
-def raw_endpoint(reply):
+def raw_endpoint(reply, pause=0.0):
     server = socketserver.TCPServer(("127.0.0.1", 0), _RawEndpoint)
-    server.reply, server.requests = reply, 0
+    server.reply, server.pause, server.requests = reply, pause, 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -171,3 +186,16 @@ def test_remote_reply_past_the_limit_ends_the_trial():
     assert (result.outcome, result.ticks_elapsed) == (Outcome.HANDLED_ABORT, 0)
     assert result.detail == (f"backend: remote reply is longer than "
                              f"{MAX_REPLY_BYTES} bytes")
+
+
+def test_trickled_reply_is_cut_at_the_attempt_timeout():
+    # each byte comes within the 0.5 s a socket read may wait, but the
+    # 12 of them take 3.6 s
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n" + b"x" * 12
+    with raw_endpoint(reply, pause=0.3) as server:
+        backend = RemoteBackend(url_of(server), retries=1, backoff=0,
+                                timeout=0.5)
+        start = time.monotonic()
+        with pytest.raises(BackendError, match="no whole reply within 0.5 s"):
+            backend.complete("leader", "walk to the desk")
+        assert time.monotonic() - start < 2 * backend.timeout

@@ -15,7 +15,7 @@ from brainstem.errors import BackendError, ConfigError, SchemaViolation
 from brainstem.pipeline import state_review
 from brainstem.protocol import (PayloadKind, decode_envelope,
                                 serialize_envelope, tick_to_timestamp)
-from brainstem.simenv import TASK_IDS, load_scenario
+from brainstem.simenv import TASK_IDS, advance_clock, load_scenario
 from support import (TOO_DEEP, UNKNOWN_COLLEAGUE, model_states,
                      reflection_asking)
 
@@ -55,6 +55,34 @@ def test_deletion_aborts_within_one_deliberative_period():
 def test_reactive_only_times_out_on_deletion():
     result = run_trial(8, seed=0, config=EpisodeConfig(mode="reactive_only"))
     assert result.outcome is Outcome.FAILURE
+
+
+@pytest.mark.parametrize("task_id", (4, 5, 8))
+def test_reactive_only_skip_to_the_horizon_matches_ticking(task_id,
+                                                           monkeypatch):
+    # tasks 4, 5 and 8 reach a script action that can never succeed; with
+    # can_change always True the trial retries it tick by tick to the horizon
+    config = EpisodeConfig(mode="reactive_only")
+    skipped = [run_trial(task_id, seed, config) for seed in range(8)]
+    monkeypatch.setattr(episode, "can_change", lambda *args: True)
+    ticked = [run_trial(task_id, seed, config) for seed in range(8)]
+    assert skipped == ticked
+
+
+def test_reactive_only_dead_script_advances_the_clock_at_most_twice(
+        monkeypatch):
+    # task 4's script plugs port_1, which never takes the charger
+    calls = []
+
+    def counted(scenario, world, to_tick):
+        calls.append(to_tick)
+        return advance_clock(scenario, world, to_tick)
+
+    monkeypatch.setattr(episode, "advance_clock", counted)
+    result = run_trial(4, 0, EpisodeConfig(mode="reactive_only"))
+    assert (result.outcome, result.ticks_elapsed, result.detail) == \
+        (Outcome.FAILURE, 6000, "timeout")
+    assert len(calls) <= 2
 
 
 def test_ood_mission_runs_without_scripted_plan():

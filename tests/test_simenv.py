@@ -6,7 +6,8 @@ import pytest
 
 from brainstem.errors import UnknownAction, UnknownTask
 from brainstem.simenv import (DELETION_TICK, TASK_IDS, ActionRule, WorldState,
-                              _derive_model, advance_clock, check_success,
+                              _derive_model, advance_clock, can_change,
+                              check_success,
                               load_scenario, observe, resolve_action,
                               sample_duration, step)
 
@@ -331,6 +332,67 @@ def test_planner_model_is_pinned_and_seed_free(task_id):
             assert sorted(model.goal_states) == goals, seed
         assert text == repr(sorted(first.transitions.items())), seed
         assert model.goal_states == first.goal_states, seed
+
+
+def reachable_worlds(scenario, world):
+    """Every world that successful actions and scheduled events reach from
+    ``world``, goal worlds included."""
+    worlds, seen = [world], {world_key(world)}
+    for world in worlds:  # appending while iterating walks breadth first
+        reached = []
+        for rule in scenario.rules.values():
+            if rule.precondition(world) is None and \
+                    rule.success_prob(world) > 0:
+                after = world.clone()
+                rule.effect(after)
+                reached.append(after)
+        for event in scenario.scheduled_events:
+            after = world.clone()
+            advance_clock(scenario, after, event.tick)
+            reached.append(after)
+        for after in reached:
+            if world_key(after) not in seen:
+                seen.add(world_key(after))
+                worlds.append(after)
+    return worlds
+
+
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_no_rule_reads_the_clock(task_id):
+    # can_change, and the reactive-only trial's skip to its horizon, rest on
+    # this: a world no event will change again stays as it is until the end
+    for seed in range(8):
+        scenario, start = load_scenario(task_id, seed)
+        for world in reachable_worlds(scenario, start):
+            early, late = world.clone(), world.clone()
+            early.tick, late.tick = 0, scenario.timeout_ticks
+            for action, rule in scenario.rules.items():
+                where = (seed, action, world_key(world))
+                assert rule.precondition(early) == \
+                    rule.precondition(late), where
+                assert rule.success_prob(early) == \
+                    rule.success_prob(late), where
+
+
+def test_can_change_while_an_event_is_due_or_the_action_can_succeed():
+    scenario, world = load_scenario(4, 0)
+    wrong = "plug port_1"  # the right port is 2 or 3
+    right = next(a for a in scenario.action_vocab if a != wrong
+                 and scenario.rules[a].success_prob(world) > 0)
+    assert can_change(scenario, world, right)
+    assert not can_change(scenario, world, wrong)
+
+    scenario, world = load_scenario(8, 0)
+    world.marks.update({"located", "near", "in_view"})
+    world.objects["apple_1"].occluded = False
+    assert can_change(scenario, world, "grasp apple")
+    # the deletion is due, so even a grasp that cannot succeed can change
+    # the world
+    world.objects["apple_1"].occluded = True
+    assert can_change(scenario, world, "grasp apple")
+    advance_clock(scenario, world, DELETION_TICK)
+    assert not can_change(scenario, world, "grasp apple")
+    assert can_change(scenario, world, "explore room")
 
 
 def mark(name, needs=None, p=1.0):
