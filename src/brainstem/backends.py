@@ -4,8 +4,8 @@ Every agent role talks text-in/text-out. The scripted backend maps
 (role, scenario key) to canned contract-conformant documents so whole runs
 are reproducible without any model in the loop; the remote adapter posts the
 rendered prompt to a completion endpoint with bounded retries, reads at most
-``MAX_REPLY_BYTES`` of its reply, and starts no read of a reply's body after
-the attempt's ``timeout``.
+``MAX_REPLY_BYTES`` of its reply, and waits in no read of it, status line and
+headers included, past the attempt's ``timeout``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from typing import Mapping, Optional
 
 from .errors import BackendError
@@ -165,6 +166,55 @@ class ScriptedBackend:
         return json.dumps(value, sort_keys=True)
 
 
+@contextmanager
+def _urlopen(request, timeout: float):
+    """The reply ``urlopen(request, timeout=timeout)`` gives, except that no
+    read of it waits past ``timeout`` from now: urlopen's own timeout bounds
+    each socket read, not the reply. Every response read is closed on exit,
+    an ``HTTPError``'s included."""
+    import http.client
+    import urllib.request
+
+    deadline = time.monotonic() + timeout
+    responses = []
+
+    def respond(sock, **kwargs):
+        # the response reads its status line, headers and body through its
+        # raw reader's readinto
+        response = http.client.HTTPResponse(sock, **kwargs)
+        responses.append(response)
+        read = response.fp.raw.readinto
+
+        def readinto(buffer):
+            left = deadline - time.monotonic()
+            if left > 0:
+                sock.settimeout(left)
+                try:
+                    return read(buffer)
+                except TimeoutError:
+                    pass
+            raise TimeoutError(f"no whole reply within {timeout} s")
+
+        response.fp.raw.readinto = readinto
+        return response
+
+    class Deadline:  # its connections read each response through respond
+        def do_open(self, http_class, req, **kwargs):
+            return super().do_open(type(http_class.__name__, (http_class,), {
+                "response_class": staticmethod(respond)}), req, **kwargs)
+
+    # in place of urllib's HTTP and HTTPS handlers; its other defaults, such
+    # as environment proxies, stay
+    opener = urllib.request.build_opener(*(
+        type(base.__name__, (Deadline, base), {})
+        for base in (urllib.request.HTTPHandler, urllib.request.HTTPSHandler)))
+    try:
+        yield opener.open(request, timeout=timeout)
+    finally:
+        for response in responses:
+            response.close()
+
+
 class RemoteBackend:
     """Posts prompts to a text completion endpoint; retries then raises."""
 
@@ -217,21 +267,9 @@ class RemoteBackend:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             request = urllib.request.Request(self.url, data=body,
                                              headers=headers)
-            # urlopen's timeout bounds each socket read; no read of the body
-            # starts after the attempt's deadline
-            deadline = time.monotonic() + self.timeout
             try:
-                with urllib.request.urlopen(request,
-                                            timeout=self.timeout) as reply:
-                    data = bytearray()
-                    while len(data) <= MAX_REPLY_BYTES:
-                        if time.monotonic() > deadline:
-                            raise TimeoutError(f"no whole reply within "
-                                               f"{self.timeout} s")
-                        chunk = reply.read1(MAX_REPLY_BYTES + 1 - len(data))
-                        if not chunk:
-                            break
-                        data += chunk
+                with _urlopen(request, self.timeout) as reply:
+                    data = reply.read(MAX_REPLY_BYTES + 1)
                     if len(data) > MAX_REPLY_BYTES:  # not retried
                         raise BackendError(f"remote reply is longer than "
                                            f"{MAX_REPLY_BYTES} bytes")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .errors import IoError, UnregisteredSender
@@ -22,43 +21,27 @@ from .protocol import Envelope, Importance, serialize_envelope
 PRIORITY_ORDER = (Importance.HIGH, Importance.MEDIUM, Importance.LOW)
 
 
-@dataclass
-class DeliveryReceipt:
-    log_id: str
-    enqueued_at: int
-    delivered_at: dict = field(default_factory=dict)  # subscriber -> tick
-
-
 class MessageBus:
     """Three priority channels with exactly-once per-subscriber delivery.
 
     ``is_registered`` gates publishers and subscribers; the registry wires
-    itself in at construction time. ``clock`` supplies virtual ticks for
-    receipts (defaults to an internal operation counter). With an
-    ``audit_path``, a publish or delivery whose audit line cannot be written
-    raises ``IoError`` and changes nothing.
+    itself in at construction time. With an ``audit_path``, a publish or
+    delivery whose audit line cannot be written raises ``IoError`` and
+    changes nothing; a delivery line's ``at`` counts the bus's operations.
     """
 
     def __init__(self, is_registered: Callable[[str], bool],
-                 clock: Optional[Callable[[], int]] = None,
                  audit_path: Optional[str] = None):
         self._is_registered = is_registered
-        self._clock = clock
         self._ops = 0
         self._lock = threading.RLock()
-        # level -> agent_id -> deque of (envelope, receipt) the agent owes
+        # level -> agent_id -> deque of the envelopes the agent owes
         self._inboxes = {level: {} for level in PRIORITY_ORDER}
         self._subscriptions: dict = {}   # agent_id -> set[Importance]
         self._audit: list = []
         self._audit_path = audit_path
 
-    # -- time and audit file -------------------------------------------------
-
-    def _next_tick(self) -> int:
-        """Tick of the operation about to be counted."""
-        if self._clock is not None:
-            return self._clock()
-        return self._ops + 1
+    # -- audit file -----------------------------------------------------------
 
     def _write_audit_line(self, line: bytes) -> None:
         try:
@@ -92,20 +75,17 @@ class MessageBus:
 
     # -- publish / deliver ---------------------------------------------------
 
-    def publish(self, envelope: Envelope) -> DeliveryReceipt:
+    def publish(self, envelope: Envelope) -> None:
         sender = envelope.header.agent_id
         if not self._is_registered(sender):
             raise UnregisteredSender(f"{sender!r} is not registered")
         with self._lock:
-            receipt = DeliveryReceipt(envelope.log_id, self._next_tick())
             if self._audit_path is not None:
                 self._write_audit_line(serialize_envelope(envelope))
             self._ops += 1
-            # audit entry is appended before the receipt is returned
             self._audit.append(("publish", envelope.log_id, envelope))
             for inbox in self._inboxes[envelope.header.importance].values():
-                inbox.append((envelope, receipt))
-            return receipt
+                inbox.append(envelope)
 
     def next_message(self, subscriber: str) -> Optional[Envelope]:
         """Head of the highest-priority non-empty channel for ``subscriber``.
@@ -120,17 +100,15 @@ class MessageBus:
             for level in PRIORITY_ORDER:
                 inbox = self._inboxes[level].get(subscriber)
                 if level in subscribed and inbox:
-                    envelope, receipt = inbox[0]
-                    at = self._next_tick()
+                    envelope = inbox[0]
                     if self._audit_path is not None:
                         self._write_audit_line(json.dumps({
                             "receipt": envelope.log_id,
                             "delivered_to": subscriber,
-                            "at": at,
+                            "at": self._ops + 1,
                         }, sort_keys=True).encode())
                     self._ops += 1
                     inbox.popleft()
-                    receipt.delivered_at[subscriber] = at
                     self._audit.append(("deliver", envelope.log_id, subscriber))
                     return envelope
             self._ops += 1

@@ -150,8 +150,7 @@ class EpisodeRuntime:
 
         self.allocator = LogIdAllocator()
         self.registry = AgentRegistry()
-        self.bus = MessageBus(is_registered=self.registry.is_registered,
-                              clock=lambda: self.world.tick)
+        self.bus = MessageBus(is_registered=self.registry.is_registered)
         self.registry.register_agent(AgentDescriptor("Leader_1", Role.LEADER))
         self.registry.register_agent(AgentDescriptor("Inspector_1", Role.INSPECTOR))
         self.registry.register_agent(AgentDescriptor("Planner_1", Role.PLANNER))
@@ -173,8 +172,6 @@ class EpisodeRuntime:
         self.pending_abort = False
         self.done: Optional[Outcome] = None
         self.detail = ""
-        self.collaborations = 0
-        self.replans = 0
         self.script_index = 0
 
         # the symbol state review compares the world's against: the last
@@ -207,8 +204,6 @@ class EpisodeRuntime:
                 self.done = Outcome.HANDLED_ABORT
                 self.detail = f"malformed reply: {exc}"
                 return
-            self.replans += 1
-            self.collaborations += len(messages) - 1
             for message in messages:
                 self._publish(*message)
             self.excluded = set()
@@ -237,7 +232,7 @@ class EpisodeRuntime:
         return messages
 
     def _publish(self, kind: PayloadKind, body: dict, sender: str) -> None:
-        # one message per event; stamped with the bus's clock, the world tick
+        # one message per event, stamped with the world tick
         header = MessageHeader(tick_to_timestamp(self.world.tick), sender,
                                Importance.MEDIUM)
         self.bus.publish(make_envelope(header, Payload(kind, body),

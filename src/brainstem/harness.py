@@ -20,7 +20,6 @@ import hashlib
 import json
 import math
 import os
-from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from typing import Optional, Sequence
@@ -101,14 +100,13 @@ class TaskRow:
     eval_percentages: list
     avg: float
     std: float
-    outcomes: dict
 
 
 def task_row(task_id: int, trials: Sequence[TrialResult],
              evals: int) -> TaskRow:
     """The row of one task's ``trials``: the success percentage of each of
-    ``evals`` equal blocks of them in seed order, the percentages' aggregate
-    and the outcome counts."""
+    ``evals`` equal blocks of them in seed order, and the percentages'
+    aggregate."""
     trials = sorted(trials, key=lambda t: t.seed)
     size = len(trials) // evals
     percentages = [100.0 * sum(t.outcome is Outcome.SUCCESS
@@ -116,8 +114,7 @@ def task_row(task_id: int, trials: Sequence[TrialResult],
                    for i in range(evals)]
     avg, std = aggregate(percentages)
     return TaskRow(task_id, load_scenario(task_id, 0)[0].category,
-                   percentages, avg, std,
-                   dict(Counter(t.outcome.value for t in trials)))
+                   percentages, avg, std)
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(BenchConfig)

@@ -61,20 +61,9 @@ class Transition:
 
 
 @dataclass
-class StateTree:
-    root: StateNode
-
-    def to_doc(self) -> dict:
-        return {"next_state": self.root.to_doc()}
-
-
-@dataclass
 class ActionChoice:
     selected_action: str
     reason: str
-
-    def to_doc(self) -> dict:
-        return {"selected_action": self.selected_action, "reason": self.reason}
 
 
 def _node_problems(doc, where: str, layer: int, vocab, problems: list) -> None:
@@ -160,8 +149,8 @@ def _build_node(doc: dict) -> StateNode:
 
 
 def validate_state_tree(document,
-                        action_vocab: Optional[Iterable[str]] = None) -> StateTree:
-    """Check a state-tree document, renormalizing probabilities.
+                        action_vocab: Optional[Iterable[str]] = None) -> StateNode:
+    """The root node of a state-tree document, probabilities renormalized.
 
     Accepts either the wrapped form ``{"next_state": node}`` or a bare node.
     Raises SchemaViolation enumerating every violation found.
@@ -173,7 +162,7 @@ def validate_state_tree(document,
     _node_problems(document, "next_state", 1, vocab, problems)
     if problems:
         raise SchemaViolation(problems)
-    return StateTree(root=_build_node(document))
+    return _build_node(document)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +246,8 @@ def generate_state_tree(task_desc: str, current_state: str,
                         available_actions: Sequence[str], *,
                         model: TransitionModel,
                         max_depth: int = MAX_TREE_DEPTH,
-                        exclude_actions: Iterable[str] = ()) -> StateTree:
-    """Expand the reachable state tree from ``current_state``.
+                        exclude_actions: Iterable[str] = ()) -> StateNode:
+    """Expand the reachable state tree from ``current_state``; returns its root.
 
     Expansion follows the scenario's declared transition model. Unavailable
     actions are pruned before scoring; the returned tree always passes
@@ -297,7 +286,7 @@ def generate_state_tree(task_desc: str, current_state: str,
                            expand(nxt, layer + 1, prob)))
         return node
 
-    return StateTree(expand(current_state, 1, 1.0))
+    return expand(current_state, 1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +302,13 @@ def subtree_value(node: StateNode) -> float:
     return node.score + DISCOUNT * expected
 
 
-def select_action(tree: StateTree,
+def select_action(root: StateNode,
                   available_actions: Sequence[str]) -> ActionChoice:
     """Pick the root action with the highest expected subtree value.
 
     Ties break toward the lexicographically smallest action name. A goal
     root yields the no-op sentinel (exempt from the vocabulary check).
     """
-    root = tree.root
     if root.is_goal:
         return ActionChoice(NOOP_ACTION,
                             "root state satisfies the goal; no action required")

@@ -108,14 +108,14 @@ def random_tree_doc(rng: random.Random, max_depth: int = 4, branching: int = 3,
     return {"next_state": node(1)}
 
 
-def tree_action_values_oracle(tree, gamma: float = 0.9) -> dict:
+def tree_action_values_oracle(root, gamma: float = 0.9) -> dict:
     """Expected value per root action via explicit path enumeration.
 
     Sums score(n) * gamma^depth(n) * P(reach n) over every node n in each
     root transition's subtree, independently of the recursive backup.
     """
     values: dict = {}
-    for root_tr in tree.root.transitions:
+    for root_tr in root.transitions:
         total = 0.0
         stack = [(root_tr.next_state, root_tr.probability, 0)]
         while stack:

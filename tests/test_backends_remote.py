@@ -1,10 +1,12 @@
 """Round trip against a live local HTTP completion endpoint."""
 
+import gc
 import http.server
 import json
 import socketserver
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 
 import pytest
@@ -37,13 +39,19 @@ class _Endpoint(http.server.BaseHTTPRequestHandler):
         pass
 
 
+def serve(server):
+    """Serve in a thread; ``shutdown()`` then waits at most one short poll."""
+    threading.Thread(target=server.serve_forever, args=(0.01,),
+                     daemon=True).start()
+
+
 @pytest.fixture
 def endpoint():
     server = http.server.HTTPServer(("127.0.0.1", 0), _Endpoint)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    serve(server)
     yield f"http://127.0.0.1:{server.server_port}/complete"
     server.shutdown()
+    server.server_close()
 
 
 def test_remote_backend_round_trip(endpoint):
@@ -69,6 +77,21 @@ def test_remote_backend_gives_up_after_retry_budget(endpoint):
     _Endpoint.fail_n = 0
 
 
+def test_refused_replies_leave_no_socket_open(endpoint, monkeypatch):
+    # an HTTP error keeps its reply, and a kept reply its socket, unless the
+    # backend closes it
+    monkeypatch.setattr(_Endpoint, "fail_n", 99)
+    backend = RemoteBackend(endpoint, retries=2, backoff=0, timeout=5.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            backend.complete("leader", "walk to the desk")
+        except BackendError:
+            pass
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize("timeout", ["abc", "0", "-1", "nan", "inf"])
 def test_from_env_refuses_a_bad_timeout(timeout):
     environ = {"BRAINSTEM_BACKEND_URL": "http://127.0.0.1:9/complete",
@@ -91,8 +114,9 @@ BROKEN_REPLIES = {
 class _RawEndpoint(socketserver.StreamRequestHandler):
     """Reads one request, writes the server's raw ``reply`` bytes, closes.
 
-    With a ``pause`` the head goes at once and then the body one byte per
-    ``pause`` seconds, until the client hangs up.
+    With a ``pause`` the head goes at once, or with ``trickle_head`` one byte
+    per ``pause`` seconds as the body does, until the client hangs up. The
+    server's ``done`` is set once the reply has ended either way.
     """
 
     def handle(self):
@@ -107,21 +131,26 @@ class _RawEndpoint(socketserver.StreamRequestHandler):
             self.wfile.write(self.server.reply)
             return
         head, _, body = self.server.reply.partition(b"\r\n\r\n")
+        head += b"\r\n\r\n"
+        if self.server.trickle_head:
+            head, body = b"", head + body
         try:
-            self.wfile.write(head + b"\r\n\r\n")
+            self.wfile.write(head)
             for byte in body:
                 time.sleep(self.server.pause)
                 self.wfile.write(bytes([byte]))
         except OSError:  # the client gave up
             pass
+        finally:
+            self.server.done.set()
 
 
 @contextmanager
-def raw_endpoint(reply, pause=0.0):
+def raw_endpoint(reply, pause=0.0, trickle_head=False):
     server = socketserver.TCPServer(("127.0.0.1", 0), _RawEndpoint)
     server.reply, server.pause, server.requests = reply, pause, 0
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server.trickle_head, server.done = trickle_head, threading.Event()
+    serve(server)
     try:
         yield server
     finally:
@@ -199,3 +228,19 @@ def test_trickled_reply_is_cut_at_the_attempt_timeout():
         with pytest.raises(BackendError, match="no whole reply within 0.5 s"):
             backend.complete("leader", "walk to the desk")
         assert time.monotonic() - start < 2 * backend.timeout
+
+
+def test_trickled_head_is_cut_at_the_attempt_timeout():
+    # each byte of the 55-byte head comes within the 0.5 s a socket read may
+    # wait, but the head takes 16.5 s
+    reply = (b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\nX-Pad: 0123456"
+             b"\r\n\r\n" + b"x" * 12)
+    with raw_endpoint(reply, pause=0.3, trickle_head=True) as server:
+        backend = RemoteBackend(url_of(server), retries=1, backoff=0,
+                                timeout=0.5)
+        start = time.monotonic()
+        with pytest.raises(BackendError, match="no whole reply within 0.5 s"):
+            backend.complete("leader", "walk to the desk")
+        assert time.monotonic() - start < 2 * backend.timeout
+        # the client has closed its socket: the endpoint's next writes fail
+        assert server.done.wait(timeout=2.0)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from brainstem.errors import (CycleDetected, EmptyActionSet, SchemaViolation,
                               UnknownAction)
-from brainstem.planner import (MAX_TREE_DEPTH, NOOP_ACTION, StateTree,
-                               TransitionModel, build_htn_dag,
+from brainstem.planner import (MAX_TREE_DEPTH, NOOP_ACTION, TransitionModel,
+                               build_htn_dag,
                                generate_state_tree, score_state,
                                select_action, subtree_value,
                                validate_state_tree)
@@ -36,8 +36,8 @@ def leaf(state="goal", score=1.0, is_goal=True):
 
 
 def test_goal_root_is_single_node():
-    tree = validate_state_tree({"next_state": leaf()})
-    assert tree.root.is_goal and tree.root.transitions == []
+    root = validate_state_tree({"next_state": leaf()})
+    assert root.is_goal and root.transitions == []
 
 
 def test_score_out_of_range_rejected():
@@ -82,9 +82,9 @@ def test_sibling_probabilities_renormalized():
                {"action": "a", "probability": 0.25, "next_state": leaf()},
                {"action": "b", "probability": 0.25, "next_state": leaf()},
            ]}
-    tree = validate_state_tree({"next_state": doc})
-    assert sum(t.probability for t in tree.root.transitions) == pytest.approx(1.0)
-    assert tree.root.transitions[0].probability == pytest.approx(0.5)
+    root = validate_state_tree({"next_state": doc})
+    assert sum(t.probability for t in root.transitions) == pytest.approx(1.0)
+    assert root.transitions[0].probability == pytest.approx(0.5)
 
 
 def test_probability_sum_above_one_rejected():
@@ -203,8 +203,8 @@ def test_tie_breaks_lexicographically():
 
 
 def test_goal_root_returns_noop_sentinel():
-    choice = select_action(StateTree(validate_state_tree(
-        {"next_state": leaf()}).root), ["grasp"])
+    choice = select_action(validate_state_tree({"next_state": leaf()}),
+                           ["grasp"])
     assert choice.selected_action == NOOP_ACTION
 
 
@@ -260,10 +260,9 @@ def toy_model():
 
 def test_generated_tree_matches_exhaustive_expansion():
     model = toy_model()
-    tree = generate_state_tree("toy", "start", ["advance", "look", "grasp"],
+    root = generate_state_tree("toy", "start", ["advance", "look", "grasp"],
                                model=model, max_depth=3)
     # exhaustive: depth-3 expansion by hand
-    root = tree.root
     assert root.state == "start"
     assert {t.next_state.state for t in root.transitions} == {"mid", "slip",
                                                               "start_seen"}
@@ -279,8 +278,8 @@ def test_generated_tree_matches_exhaustive_expansion():
 
 def test_goal_root_yields_single_node():
     model = toy_model()
-    tree = generate_state_tree("toy", "goal", ["advance"], model=model)
-    assert tree.root.is_goal and tree.root.transitions == []
+    root = generate_state_tree("toy", "goal", ["advance"], model=model)
+    assert root.is_goal and root.transitions == []
 
 
 def test_depth_six_backend_output_rejected():
@@ -307,11 +306,11 @@ def test_excluded_actions_from_an_iterator_stay_excluded():
         return {a for t in node.transitions
                 for a in (t.action, *tree_actions(t.next_state))}
 
-    tree = generate_state_tree(scenario.mission, "start",
+    root = generate_state_tree(scenario.mission, "start",
                                scenario.action_vocab, model=scenario.model,
                                exclude_actions=iter(["grasp red cube"]))
-    assert tree_actions(tree.root) == {"grasp blue cube", "grasp green cube",
-                                       "release"}
+    assert tree_actions(root) == {"grasp blue cube", "grasp green cube",
+                                  "release"}
 
 
 def test_generator_agrees_with_validator_on_every_scenario():
@@ -325,11 +324,11 @@ def test_generator_agrees_with_validator_on_every_scenario():
             for k in range(len(vocab)):
                 for excluded in itertools.combinations(vocab, k):
                     for depth in range(1, MAX_TREE_DEPTH + 1):
-                        tree = generate_state_tree(
+                        root = generate_state_tree(
                             scenario.mission, state, vocab,
                             model=scenario.model, max_depth=depth,
                             exclude_actions=excluded)
-                        doc = tree.to_doc()
+                        doc = root.to_doc()
                         assert validate_state_tree(doc, vocab).to_doc() == doc
                         cases += 1
     assert cases == 2135
@@ -360,7 +359,7 @@ def test_trees_and_choices_match_golden_digest():
                             except EmptyActionSet as exc:
                                 entries.append(str(exc))
                                 continue
-                            entries.append([tree.to_doc(),
+                            entries.append([{"next_state": tree.to_doc()},
                                             choice.selected_action,
                                             choice.reason])
     assert len(entries) == 3648
@@ -423,7 +422,7 @@ def test_frontier_respects_dependencies():
 
 
 def test_subtree_value_of_leaf_is_score():
-    node = validate_state_tree({"next_state": leaf(score=0.7)}).root
+    node = validate_state_tree({"next_state": leaf(score=0.7)})
     assert subtree_value(node) == 0.7
 
 

@@ -2,11 +2,13 @@
 package defines is referred to.
 
 Class-level names are the names a class body assigns, such as enum members
-and dataclass fields; module-level names are the names a module's top level
-assigns, such as constants. A definition counts as referred to when its name
-is loaded, imported or read as an attribute in the package sources, the
-scripts, the benchmark or the tests; a field that is only passed to a
-constructor is not. Dunder names are used by the interpreter and are exempt.
+and dataclass fields, and its methods; module-level names are the names a
+module's top level assigns, such as constants. A class-level name counts as
+referred to when it is read as an attribute in the package sources, the
+scripts, the benchmark or the tests; any other definition counts when its
+name is loaded, imported or read as an attribute there. A field that is only
+passed to a constructor, or whose name only a local variable shares, is not
+referred to. Dunder names are used by the interpreter and are exempt.
 """
 
 import ast
@@ -37,40 +39,54 @@ def assigned_names(body: list):
                 yield target.id, stmt.lineno
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def definitions(tree):
-    """(name, line) of every function, method, class, class-level and
-    module-level name."""
-    yield from assigned_names(tree.body)
+    """(name, line, class-level) of every function, method, class,
+    class-level and module-level name."""
+    for name, line in assigned_names(tree.body):
+        yield name, line, False
+    methods = {id(stmt) for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               for stmt in node.body if isinstance(stmt, FUNCTIONS)}
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)) and not is_dunder(node.name):
-            yield node.name, node.lineno
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)) \
+                and not is_dunder(node.name):
+            yield node.name, node.lineno, id(node) in methods
         if isinstance(node, ast.ClassDef):
-            yield from assigned_names(node.body)
+            for name, line in assigned_names(node.body):
+                yield name, line, True
 
 
-def references(tree):
-    """Every name ``tree`` loads, imports or reads as an attribute."""
+def references(tree) -> tuple:
+    """({names ``tree`` loads or imports}, {names it reads as attributes})."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            attributes.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                yield alias.name.split(".")[-1]
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names, attributes
 
 
 def unreferenced(sources: dict, readers: list) -> dict:
     """{source name: [(name, line), ...]} of definitions nothing refers to."""
-    used = set()
+    names, attributes = set(), set()
     for text in readers:
-        used.update(references(ast.parse(text)))
+        loaded, read = references(ast.parse(text))
+        names |= loaded
+        attributes |= read
     found = {}
-    for name, text in sources.items():
-        dead = [d for d in definitions(ast.parse(text)) if d[0] not in used]
+    for source, text in sources.items():
+        dead = [(name, line) for name, line, class_level
+                in definitions(ast.parse(text))
+                if name not in attributes
+                and (class_level or name not in names)]
         if dead:
-            found[name] = dead
+            found[source] = dead
     return found
 
 
@@ -91,6 +107,15 @@ def test_checker_flags_an_unread_enum_member_and_field():
     caller = "Mood.CALM\nPair(1, spare=2).left\n"
     assert unreferenced({"pair.py": source}, [source, caller]) == \
         {"pair.py": [("NEVER", 3), ("spare", 7)]}
+
+
+def test_checker_flags_a_field_only_a_local_variable_shares():
+    source = ("@dataclass\nclass Row:\n    avg: float\n    outcomes: dict\n"
+              "    def total(self):\n        pass\n")
+    caller = ("outcomes, total = {}, 0\n"
+              "print(outcomes, total, Row(1.0, outcomes).avg)\n")
+    assert unreferenced({"row.py": source}, [source, caller]) == \
+        {"row.py": [("outcomes", 4), ("total", 5)]}
 
 
 def test_every_package_definition_is_referred_to():
