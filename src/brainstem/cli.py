@@ -35,11 +35,14 @@ def _read_json(path: str):
 
 
 def _parse_ratios(text: str) -> tuple:
-    parts = [int(p) for p in text.split(",")]
+    try:
+        parts = tuple(int(p) for p in text.split(","))
+    except ValueError:  # argparse would name this function, not the form
+        parts = ()
     if len(parts) != 3 or parts[0] != 1:
         raise argparse.ArgumentTypeError(
             "ratios must be 1,<memory_period>,<deliberative_period>")
-    return tuple(parts)
+    return parts
 
 
 def build_parser() -> argparse.ArgumentParser:

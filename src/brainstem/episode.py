@@ -1,5 +1,8 @@
 """Full-stack trial execution: every subsystem wired into one seeded episode.
 
+A trial is (task, seed): the seed picks the start world's seeded mark
+(``simenv.load_scenario``) and seeds the draws of action durations and results.
+
 One episode runs a benchmark scenario through the registry, bus, role-playing
 agents, tree-search action selection, state review, and the per-tick reactive
 controller, all on the virtual-clock scheduler; no trial waits on wall time,
@@ -140,13 +143,14 @@ class EpisodeConfig:
 class EpisodeRuntime:
     """Owns one trial's state; drive with run()."""
 
-    def __init__(self, scenario: ScenarioSpec, world: WorldState,
+    def __init__(self, scenario: ScenarioSpec, world: WorldState, seed: int,
                  config: Optional[EpisodeConfig] = None, backend=None):
         self.scenario = scenario
         self.world = world
+        self.seed = seed
         self.config = config or EpisodeConfig()
         self.backend = backend or ScriptedBackend()
-        self.rng = random.Random((scenario.seed * 7919 + scenario.task_id) & 0xFFFFFFFF)
+        self.rng = random.Random((seed * 7919 + scenario.task_id) & 0xFFFFFFFF)
 
         self.allocator = LogIdAllocator()
         self.registry = AgentRegistry()
@@ -335,12 +339,12 @@ class EpisodeRuntime:
         outcome = self.done if self.done is not None else Outcome.FAILURE
         if outcome is Outcome.FAILURE:
             self.detail = self.detail or "timeout"
-        return TrialResult(self.scenario.task_id, self.scenario.seed, outcome,
+        return TrialResult(self.scenario.task_id, self.seed, outcome,
                            self.world.tick, self.config.trace_path, self.detail)
 
 
 def run_trial(task_id: int, seed: int, config: Optional[EpisodeConfig] = None,
               backend=None) -> TrialResult:
     scenario, world = load_scenario(task_id, seed)
-    runtime = EpisodeRuntime(scenario, world, config, backend)
+    runtime = EpisodeRuntime(scenario, world, seed, config, backend)
     return runtime.run()

@@ -7,7 +7,9 @@ probabilities, durations), a symbol function that names the model state a
 world is in, its goal states and the few beliefs in which its planner differs
 from the rules. The planner's transition model is derived from these
 (:func:`_derive_model`). A trial succeeds when a world's symbol is one of the
-model's goal states (:func:`check_success`).
+model's goal states (:func:`check_success`). A task's spec is the same for
+every seed: a seed acts only on the start world's one seeded mark
+(:func:`load_scenario`) and on the episode's draws.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ class ScenarioSpec:
     scheduled_events: tuple = ()
     reactive_script: tuple = ()
     timeout_ticks: int = 8000
-    seed: int = 0
+    start_marks: tuple = ()         # load_scenario adds one, drawn by seed
 
     @property
     def action_vocab(self) -> tuple:
@@ -180,22 +182,6 @@ def can_change(scenario: ScenarioSpec, world: WorldState, action: str) -> bool:
         return True
     rule = scenario.rules[action]
     return rule.precondition(world) is None and rule.success_prob(world) > 0
-
-
-def step(scenario: ScenarioSpec, world: WorldState, action: str,
-         rng: random.Random):
-    """(world', observation, events): one whole action, clock included.
-
-    Samples the action duration, advances the clock (events due in the span
-    fire before the effect lands), then resolves the action.
-    """
-    world = world.clone()
-    duration = sample_duration(scenario.rules[action], rng) \
-        if action in scenario.rules else 1
-    events = advance_clock(scenario, world, world.tick + duration)
-    feedback = resolve_action(scenario, world, action, rng)
-    events.append(feedback)
-    return world, observe(scenario, world), events
 
 
 def observe(scenario: ScenarioSpec, world: WorldState) -> Observation:
@@ -281,7 +267,7 @@ def _derive_model(world: WorldState, rules: Mapping[str, ActionRule],
 # the eight tasks
 # ---------------------------------------------------------------------------
 
-def _task_1(seed: int):
+def _task_1():
     world = WorldState(
         objects={"cube_1": ObjectState("cube", "red", "cabinet_shelf",
                                        container="cabinet_1")},
@@ -318,11 +304,11 @@ def _task_1(seed: int):
         rules=rules, symbol_of=symbol,
         model=_derive_model(world, rules, symbol, {"holding_cube"}),
         reactive_script=("open cabinet", "grasp cube"),
-        timeout_ticks=4000, seed=seed,
+        timeout_ticks=4000,
     ), world
 
 
-def _task_2(seed: int):
+def _task_2():
     world = WorldState(objects={
         "cube_blue": ObjectState("cube", "blue", "table"),
         "cube_red": ObjectState("cube", "red", "table"),
@@ -364,11 +350,11 @@ def _task_2(seed: int):
         rules=rules, symbol_of=symbol,
         model=_derive_model(world, rules, symbol, {"holding_blue"}),
         reactive_script=("grasp blue cube",),
-        timeout_ticks=6000, seed=seed,
+        timeout_ticks=6000,
     ), world
 
 
-def _task_3(seed: int):
+def _task_3():
     world = WorldState(
         objects={"cube_blue": ObjectState("cube", "blue", "gripper")},
         gripper={"holding": "cube_blue", "location": "table"},
@@ -391,14 +377,13 @@ def _task_3(seed: int):
         rules=rules, symbol_of=symbol,
         model=_derive_model(world, rules, symbol, {"lifted"}),
         reactive_script=("lift",),
-        timeout_ticks=3000, seed=seed,
+        timeout_ticks=3000,
     ), world
 
 
-def _task_4(seed: int):
+def _task_4():
     # the visually obvious port is never the right one; only feedback-driven
-    # correction finds the match
-    correct = f"port_{2 + random.Random(seed).randint(0, 1)}"
+    # correction finds the match. The start world's seeded mark names it.
     world = WorldState(
         objects={"charger_1": ObjectState("charger", "black", "gripper")},
         gripper={"holding": "charger_1", "location": "ports"},
@@ -412,7 +397,7 @@ def _task_4(seed: int):
             w.gripper["holding"] = None
 
         def prob(w):
-            return 0.95 if port == correct else 0.0
+            return 0.95 if f"fits {port}" in w.marks else 0.0
 
         return ActionRule(300, 30, lambda w: None if w.holding() ==
                           "charger_1" else "charger not in gripper",
@@ -436,11 +421,11 @@ def _task_4(seed: int):
         model=_derive_model(world, rules, symbol, {"charger_plugged"},
                             beliefs),
         reactive_script=("plug port_1",),
-        timeout_ticks=6000, seed=seed,
+        timeout_ticks=6000, start_marks=("fits port_2", "fits port_3"),
     ), world
 
 
-def _task_5(seed: int):
+def _task_5():
     world = WorldState(objects={
         "book_hp": ObjectState("book", "mixed", "shelf"),
         "book_other": ObjectState("book", "green", "shelf"),
@@ -478,7 +463,7 @@ def _task_5(seed: int):
         rules=rules, symbol_of=symbol,
         model=_derive_model(world, rules, symbol, {"holding_book"}, beliefs),
         reactive_script=("grasp book",),  # never searches: stays blind
-        timeout_ticks=8000, seed=seed,
+        timeout_ticks=8000,
     ), world
 
 
@@ -539,7 +524,7 @@ def _apple_search_symbol(w):
     return "apple_located" if "located" in w.marks else "searching"
 
 
-def _task_6(seed: int):
+def _task_6():
     world = WorldState(objects={
         "apple_1": ObjectState("apple", "red", "far_room", occluded=True),
     })
@@ -567,11 +552,11 @@ def _task_6(seed: int):
         model=_derive_model(world, rules, symbol, {"delivered"}),
         reactive_script=("explore room", "approach apple", "look closely",
                          "grasp apple", "deliver apple"),
-        timeout_ticks=8000, seed=seed,
+        timeout_ticks=8000,
     ), world
 
 
-def _task_7(seed: int):
+def _task_7():
     world = WorldState(objects={
         "apple_1": ObjectState("apple", "red", "shelf", occluded=True),
         "box_1": ObjectState("box", "brown", "shelf"),
@@ -630,11 +615,11 @@ def _task_7(seed: int):
         rules=rules, symbol_of=symbol,
         model=_derive_model(world, rules, symbol, {"holding_apple"}, beliefs),
         reactive_script=("approach shelf", "look from left", "grasp apple"),
-        timeout_ticks=8000, seed=seed,
+        timeout_ticks=8000,
     ), world
 
 
-def _task_8(seed: int):
+def _task_8():
     world = WorldState(objects={
         "apple_1": ObjectState("apple", "red", "far_room", occluded=True),
     })
@@ -662,7 +647,7 @@ def _task_8(seed: int):
                                           "unless_held": True}),),
         reactive_script=("explore room", "approach apple", "look closely",
                          "grasp apple"),
-        timeout_ticks=9000, seed=seed,
+        timeout_ticks=9000,
     ), world
 
 
@@ -673,7 +658,12 @@ TASK_IDS = tuple(sorted(_TASKS))
 
 
 def load_scenario(task_id: int, seed: int = 0):
-    """Deterministic (ScenarioSpec, WorldState) for a benchmark task."""
+    """(ScenarioSpec, WorldState) for a benchmark task. The spec is the same
+    for every seed; the seed picks the start world's one mark from the spec's
+    ``start_marks``, if any (task 4's right port)."""
     if task_id not in _TASKS:
         raise UnknownTask(f"task_id must be 1..8, got {task_id}")
-    return _TASKS[task_id](seed)
+    scenario, world = _TASKS[task_id]()
+    if scenario.start_marks:
+        world.marks.add(random.Random(seed).choice(scenario.start_marks))
+    return scenario, world

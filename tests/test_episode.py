@@ -38,6 +38,16 @@ def test_trials_deterministic_given_seed():
     assert (a.outcome, a.ticks_elapsed) == (b.outcome, b.ticks_elapsed)
 
 
+@pytest.mark.parametrize("task_id,seed", [(1, 0), (4, 5), (4, 6), (8, -2)])
+def test_runtime_takes_the_trial_seed(task_id, seed):
+    # the scenario carries no seed: the runtime's seed is the trial's, for
+    # its draws and its result
+    scenario, world = load_scenario(task_id, seed)
+    result = EpisodeRuntime(scenario, world, seed).run()
+    assert result == run_trial(task_id, seed)
+    assert result.seed == seed
+
+
 def test_reactive_only_never_corrects_charger():
     for seed in (0, 1, 2):
         result = run_trial(4, seed, EpisodeConfig(mode="reactive_only"))
@@ -93,7 +103,7 @@ def test_reactive_only_dead_script_advances_the_clock_at_most_twice(
 
 def test_ood_mission_runs_without_scripted_plan():
     scenario, world = load_scenario(5, 0)
-    runtime = EpisodeRuntime(scenario, world)
+    runtime = EpisodeRuntime(scenario, world, 0)
     result = runtime.run()
     assert result.outcome in (Outcome.SUCCESS, Outcome.FAILURE)
 
@@ -234,7 +244,7 @@ def test_failed_worker_ends_trial_as_handled_abort(task_id, agent_id):
     # task 1's scripted plan assigns its one subtask to Worker_3; task 6's
     # scripted reflection asks Worker_1 for help
     scenario, world = load_scenario(task_id, 0)
-    runtime = EpisodeRuntime(scenario, world)
+    runtime = EpisodeRuntime(scenario, world, 0)
     runtime.registry.mark_failed(agent_id)
     result = runtime.run()
     assert (result.outcome, result.ticks_elapsed, result.detail) == \
@@ -276,7 +286,7 @@ def test_occlusion_task_uses_viewpoint_path():
 
 def test_high_difficulty_mission_collaborates():
     scenario, world = load_scenario(6, 0)
-    runtime = EpisodeRuntime(scenario, world)
+    runtime = EpisodeRuntime(scenario, world, 0)
     runtime.run()
     assert runtime.plan["difficulty"] == "high"
     assert PayloadKind.AGENT_RESPONSE in published_kinds(runtime)
@@ -299,7 +309,7 @@ def test_unknown_mode_rejected(setting, value):
 
 def test_bus_audit_contains_decodable_envelopes():
     scenario, world = load_scenario(1, 0)
-    runtime = EpisodeRuntime(scenario, world)
+    runtime = EpisodeRuntime(scenario, world, 0)
     runtime.run()
     published = [entry for entry in runtime.bus.audit_log()
                  if entry[0] == "publish"]
@@ -323,7 +333,7 @@ def test_bus_carries_one_message_per_event(monkeypatch):
 
     monkeypatch.setattr(episode, "resolve_action", resolve)
     scenario, world = load_scenario(8, 0)
-    runtime = EpisodeRuntime(scenario, world)
+    runtime = EpisodeRuntime(scenario, world, 0)
     runtime.run()
     audit = runtime.bus.audit_log()
     assert [op for op, _, _ in audit] == ["publish"] * len(audit)
@@ -345,7 +355,7 @@ def test_no_bus_message_waits_for_a_reader():
     # no agent pulls the bus in an episode, so none subscribes and nothing
     # queues; every publish still reaches the audit log
     scenario, world = load_scenario(8, 0)
-    runtime = EpisodeRuntime(scenario, world)
+    runtime = EpisodeRuntime(scenario, world, 0)
     publish, published = runtime.bus.publish, []
 
     def record(envelope):
@@ -380,7 +390,7 @@ def test_trace_written_when_requested(tmp_path):
 
 def test_replan_verdict_never_met_with_silence():
     scenario, world = load_scenario(6, 0)
-    runtime = EpisodeRuntime(scenario, world)
+    runtime = EpisodeRuntime(scenario, world, 0)
     runtime._deliberate(0)
     plans_before = published_kinds(runtime).count(PayloadKind.SUBTASK_ASSIGN)
     runtime.replan_requested = True

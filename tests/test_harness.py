@@ -489,6 +489,17 @@ def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("ratios", ["1,a,3", "1,2.5,1000"])
+def test_cli_malformed_ratios_name_the_expected_form(ratios, capsys):
+    # argparse's own message for a ValueError names the parser function
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "--ratios", ratios])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "ratios must be 1,<memory_period>,<deliberative_period>" in err
+    assert "_parse_ratios" not in err
+
+
 def test_cli_unwritable_out_runs_no_trial(tmp_path, monkeypatch, capsys):
     # the output directory is made before the batch, so a bad --out costs
     # no computed trials

@@ -9,7 +9,7 @@ from brainstem.simenv import (DELETION_TICK, TASK_IDS, ActionRule, WorldState,
                               _derive_model, advance_clock, can_change,
                               check_success,
                               load_scenario, observe, resolve_action,
-                              sample_duration, step)
+                              sample_duration)
 
 
 def test_all_eight_tasks_load():
@@ -26,15 +26,15 @@ def test_unknown_task_rejected():
 
 
 def test_same_seed_same_scenario():
+    # task 4's right port is its start world's seeded mark: same seed, same
+    # hidden truth
     a_spec, a_world = load_scenario(4, seed=11)
     b_spec, b_world = load_scenario(4, seed=11)
     assert a_spec.rules.keys() == b_spec.rules.keys()
-    # correct port is seed-determined: same seed, same hidden truth
-    probe = a_world.clone()
+    assert a_world.marks == b_world.marks == {"fits port_3"}
     for action in sorted(a_spec.rules):
-        pa = a_spec.rules[action].success_prob(probe)
-        pb = b_spec.rules[action].success_prob(probe)
-        assert pa == pb
+        assert a_spec.rules[action].success_prob(a_world) == \
+            b_spec.rules[action].success_prob(b_world)
 
 
 def test_task1_cube_inside_closed_cabinet():
@@ -47,23 +47,19 @@ def test_task1_cube_inside_closed_cabinet():
 def test_task1_open_then_grasp_succeeds():
     scenario, world = load_scenario(1, 0)
     rng = random.Random(0)
-    world, _, events = step(scenario, world, "open cabinet", rng)
-    assert events[-1]["success"]
-    world, obs, events = step(scenario, world, "grasp cube", rng)
-    assert events[-1]["success"]
+    assert resolve_action(scenario, world, "open cabinet", rng)["success"]
+    assert resolve_action(scenario, world, "grasp cube", rng)["success"]
     assert check_success(scenario, world)
-    assert obs.gripper["holding"] == "cube_1"
+    assert observe(scenario, world).gripper["holding"] == "cube_1"
 
 
 def test_grasp_through_closed_cabinet_fails_cleanly():
     scenario, world = load_scenario(1, 0)
-    rng = random.Random(0)
-    after, _, events = step(scenario, world, "grasp cube", rng)
-    feedback = events[-1]
+    feedback = resolve_action(scenario, world, "grasp cube", random.Random(0))
     assert not feedback["success"]
     assert "closed" in feedback["error"]
-    assert after.holding() is None
-    assert not check_success(scenario, after)
+    assert world.holding() is None
+    assert not check_success(scenario, world)
 
 
 def test_unknown_action_raises():
@@ -75,10 +71,50 @@ def test_unknown_action_raises():
 def test_task4_correct_port_never_first():
     for seed in range(30):
         scenario, world = load_scenario(4, seed)
-        assert scenario.rules["plug port_1"].success_prob(world) == 0.0
-        correct = [p for p in ("port_2", "port_3")
-                   if scenario.rules[f"plug {p}"].success_prob(world) > 0]
-        assert len(correct) == 1
+        fits = [m for m in world.marks if m.startswith("fits ")]
+        assert len(fits) == 1 and fits[0] != "fits port_1"
+        # the plug rules read the right port from the world
+        for port in ("port_1", "port_2", "port_3"):
+            p = scenario.rules[f"plug {port}"].success_prob(world)
+            assert (p > 0) == (f"fits {port}" in world.marks), (seed, port)
+
+
+def test_task4_port_is_the_seeded_draw():
+    # the mark picks the port that random.Random(seed).randint(0, 1) picked
+    # when the plug rules closed over it
+    ports = Counter()
+    for seed in range(-8, 64):
+        _, world = load_scenario(4, seed)
+        port = f"port_{2 + random.Random(seed).randint(0, 1)}"
+        assert [m for m in world.marks if m.startswith("fits ")] == \
+            [f"fits {port}"], seed
+        ports[port] += 1
+    assert set(ports) == {"port_2", "port_3"}
+
+
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_a_task_is_the_same_for_every_seed(task_id):
+    # a seed acts on the start world's one seeded mark and nowhere else
+    def data(spec):
+        return (spec.task_id, spec.mission, spec.category, spec.action_vocab,
+                spec.reactive_script, spec.timeout_ticks,
+                spec.scheduled_events, spec.start_marks,
+                repr(sorted(spec.model.transitions.items())),
+                spec.model.goal_states)
+
+    spec, world = load_scenario(task_id, 0)
+    for seed in (1, 2, 3, -5, 2 ** 40 + 3):
+        other_spec, other = load_scenario(task_id, seed)
+        assert data(other_spec) == data(spec), seed
+        # each start world holds one of start_marks, if the task lists any,
+        marks = set(spec.start_marks)
+        assert len(world.marks & marks) == len(other.marks & marks) == \
+            min(1, len(marks)), seed
+        # and is otherwise the same for every seed
+        a, b = world.clone(), other.clone()
+        a.marks -= marks
+        b.marks -= marks
+        assert world_key(a) == world_key(b), seed
 
 
 def test_task8_deletion_scheduled_at_sixty_seconds():
@@ -123,25 +159,28 @@ def test_occlusion_hidden_until_viewpoint_change():
     rng = random.Random(0)
     obs = observe(scenario, world)
     assert all(o["id"] != "apple_1" for o in obs.visible_objects)
-    world, _, _ = step(scenario, world, "approach shelf", rng)
+    resolve_action(scenario, world, "approach shelf", rng)
     before = {k: (v.location, v.container) for k, v in world.objects.items()}
-    wrong, obs, _ = step(scenario, world, "look from right", rng)
-    assert wrong.objects["apple_1"].occluded
+    resolve_action(scenario, world, "look from right", rng)
+    obs = observe(scenario, world)
+    assert world.objects["apple_1"].occluded
     assert all(o["id"] != "apple_1" for o in obs.visible_objects)
-    right, obs, _ = step(scenario, wrong, "look from left", rng)
-    assert not right.objects["apple_1"].occluded
+    resolve_action(scenario, world, "look from left", rng)
+    obs = observe(scenario, world)
+    assert not world.objects["apple_1"].occluded
     assert any(o["id"] == "apple_1" for o in obs.visible_objects)
-    after = {k: (v.location, v.container) for k, v in right.objects.items()}
+    after = {k: (v.location, v.container) for k, v in world.objects.items()}
     assert before == after  # a viewpoint change never moves objects
 
 
 def test_viewpoint_change_never_moves_objects():
     scenario, world = load_scenario(7, 0)
     rng = random.Random(0)
-    world, _, _ = step(scenario, world, "approach shelf", rng)
+    resolve_action(scenario, world, "approach shelf", rng)
     before = {k: (v.location, v.container) for k, v in world.objects.items()}
     for action in ("look from left", "look from right"):
-        moved, _, _ = step(scenario, world, action, rng)
+        moved = world.clone()
+        resolve_action(scenario, moved, action, rng)
         after = {k: (v.location, v.container)
                  for k, v in moved.objects.items()}
         assert before == after
@@ -150,25 +189,10 @@ def test_viewpoint_change_never_moves_objects():
 def test_grasp_occluded_apple_fails():
     scenario, world = load_scenario(7, 0)
     rng = random.Random(0)
-    world, _, _ = step(scenario, world, "approach shelf", rng)
-    world, _, events = step(scenario, world, "grasp apple", rng)
-    assert not events[-1]["success"]
-    assert "occluded" in events[-1]["error"]
-
-
-def test_episode_trajectory_reproducible():
-    actions = ["open cabinet", "grasp cube"]
-
-    def run():
-        scenario, world = load_scenario(1, seed=5)
-        rng = random.Random(5)
-        trail = []
-        for action in actions:
-            world, obs, events = step(scenario, world, action, rng)
-            trail.append((world.tick, events[-1]["success"], obs.symbol))
-        return trail
-
-    assert run() == run()
+    resolve_action(scenario, world, "approach shelf", rng)
+    feedback = resolve_action(scenario, world, "grasp apple", rng)
+    assert not feedback["success"]
+    assert "occluded" in feedback["error"]
 
 
 def test_object_count_conserved_except_deletion():
@@ -176,7 +200,7 @@ def test_object_count_conserved_except_deletion():
     rng = random.Random(3)
     count = len([o for o in world.objects.values() if o.present])
     for action in scenario.reactive_script:
-        world, _, _ = step(scenario, world, action, rng)
+        resolve_action(scenario, world, action, rng)
         present = len([o for o in world.objects.values() if o.present])
         assert present == count
 
@@ -213,9 +237,13 @@ def test_random_walk_symbols_are_model_states(task_id):
         rng = random.Random(seed)
         reached = [scenario.symbol_of(world)]
         for _ in range(40):
+            # as an episode does: the clock (with any event due), then the
+            # action
             action = rng.choice(scenario.action_vocab)
-            world, obs, _ = step(scenario, world, action, rng)
-            reached.append(obs.symbol)
+            duration = sample_duration(scenario.rules[action], rng)
+            advance_clock(scenario, world, world.tick + duration)
+            resolve_action(scenario, world, action, rng)
+            reached.append(observe(scenario, world).symbol)
             if check_success(scenario, world):
                 break
         assert set(reached) <= states, (seed, set(reached) - states)
