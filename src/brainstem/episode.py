@@ -48,18 +48,20 @@ raise.
 
 The reactive controller still runs on every simulated tick, with zeros for
 every input, although no decision reads its output. It is over nine tenths of
-an episode's time (a pass of the traced grids takes 1.07-1.10 s with it and
-0.060-0.061 s without, ~18x), and it stays until ``perfbench``'s traced runs
-are bounded by a round count rather than by summed seconds (ROADMAP item
-1a): with the call deleted, ``perfbench/run.py --trace 1 --seconds 50`` took
-243-244 s over 768-836 untraced rounds on ``grid_full`` and 284-298 s over
-943-1,055 rounds on ``grid_reactive_only`` (two runs each, one 2-vCPU host),
-against about a minute with it. The Bayes filter, the HTN DAG, the latent
-relay, the episodic memory with its broadcast, multimodal fusion and the
-inspector's drift check are library units (``estimator.forward_filter``,
-``planner.build_htn_dag``, ``pipeline.relay_update``,
-``memory.memory_update``, ``agents.fuse_observations``,
-``agents.inspect_alignment``) that the episode does not call.
+an episode's time (a median untraced pass of the traced grid takes 0.82 s
+with it and 0.057 s without on ``grid_full``, and 0.38 s and 0.025 s on
+``grid_reactive_only``, ~14-15x, one 2-vCPU host), and it stays until
+``perfbench``'s traced runs are bounded by a round count rather than by
+summed seconds (ROADMAP item 1a): with the call deleted,
+``perfbench/run.py --trace 1 --seconds 50`` took 243-244 s over 768-836
+untraced rounds on ``grid_full`` and 284-298 s over 943-1,055 rounds on
+``grid_reactive_only`` (two runs each), against 66-79 s with it. The Bayes
+filter, the HTN DAG, the latent relay, the episodic memory with its
+broadcast, multimodal fusion and the inspector's drift check are library
+units (``estimator.forward_filter``, ``planner.build_htn_dag``,
+``pipeline.relay_update``, ``memory.memory_update``,
+``agents.fuse_observations``, ``agents.inspect_alignment``) that the episode
+does not call.
 """
 
 from __future__ import annotations

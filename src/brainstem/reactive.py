@@ -8,7 +8,6 @@ per-component standard deviation of recent states, damping oscillation.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -16,10 +15,21 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
+# The C functions behind ndarray.clip and np.count_nonzero, called without
+# their Python wrappers; numpy 2 moved them from numpy.core to numpy._core,
+# and numpy.core warns on import there.
+try:
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import count_nonzero as _count_nonzero
+    from numpy.core.umath import clip as _clip
+
 DEFAULT_VAR_WINDOW = 16
+_ZERO = np.zeros(())
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReactiveGains:
     zeta: float = 1.0
     sigma: float = 1.0
@@ -64,80 +74,106 @@ def var_react(s_t, l_t, window: Sequence) -> np.ndarray:
 
 
 class ReactiveController:
-    """Owns the error/window state; called once per reactive tick."""
+    """Owns the error/window state; called once per reactive tick.
+
+    The gains are read once, here: ``kp`` and ``kd`` are copied, so refilling
+    the caller's arrays later changes nothing. The variance window is a fixed
+    ring of (sample, square) entries with running sums, and every
+    intermediate of a step lives in a buffer made here.
+    """
 
     def __init__(self, dim: int, gains: Optional[ReactiveGains] = None,
                  policy: Optional[Callable] = None,
                  window: int = DEFAULT_VAR_WINDOW):
-        if window < 1:
-            raise ValueError("window must be at least 1")
+        for name, value in (("dim", dim), ("window", window)):
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         self.dim = dim
-        self.gains = gains if gains is not None else ReactiveGains()
-        for name in ("kp", "kd"):
-            shape = np.shape(getattr(self.gains, name))
-            if shape not in ((), (dim,)):
+        if gains is None:
+            gains = ReactiveGains()
+        self._kp = np.array(gains.kp, dtype=float)
+        self._kd = np.array(gains.kd, dtype=float)
+        for name, gain in (("kp", self._kp), ("kd", self._kd)):
+            if gain.shape not in ((), (dim,)):
                 raise DimensionMismatch(
-                    f"{name} has shape {shape}, expected a scalar or ({dim},)")
+                    f"{name} has shape {gain.shape}, expected a scalar or ({dim},)")
+        # 0-d float64 arrays: a ufunc takes them faster than scalars, with
+        # the same arithmetic
+        self._zeta = np.array(gains.zeta, dtype=float)
+        self._sigma = np.array(gains.sigma, dtype=float)
+        # the zero variance term of a step below two samples
+        self._sigma_zero = np.array(self._sigma * 0.0)
+        self._u_max = np.array(gains.u_max, dtype=float)
+        self._u_min = np.array(-self._u_max)
         self.policy = policy if policy is not None else zero_policy
-        # each entry is a (2, dim) array: the sample and its square
-        self._window: deque = deque(maxlen=window)
-        self._prev_e = np.zeros(dim)
+        self._shape = (dim,)
+        # entry i of the ring is (sample, square); _head is the next slot to
+        # write, which holds the oldest entry once the ring is full
+        self._ring = [(entry, entry[0], entry[1])
+                      for entry in np.zeros((window, 2, dim))]
+        self._window = window
+        self._head = 0
+        self._count = 0
+        self._n = np.zeros(())  # _count as a divisor
         # running sum and sum of squares make the per-tick std O(dim)
         self._sums = np.zeros((2, dim))
-
-    def _push(self, s_t: np.ndarray) -> None:
-        entry = np.empty((2, self.dim))
-        entry[0] = s_t
-        np.multiply(s_t, s_t, out=entry[1])
-        if len(self._window) == self._window.maxlen:
-            self._sums -= self._window[0]
-        self._window.append(entry)
-        self._sums += entry
-
-    def _var_term(self) -> Optional[np.ndarray]:
-        """var_react's value from the running sums; None below two samples."""
-        n = len(self._window)
-        if n < 2:
-            return None
-        moments = self._sums / n
-        mean, variance = moments[0], moments[1]
-        mean *= mean
-        variance -= mean
-        np.maximum(variance, 0.0, out=variance)
-        np.sqrt(variance, out=variance)
-        return np.negative(variance, out=variance)
+        self._moments = np.empty((2, dim))
+        self._mean, self._variance = self._moments
+        self._prev_e = np.zeros(dim)
+        self._u = np.empty(dim)
+        self._derivative = np.empty(dim)
+        self._finite = np.empty(dim, dtype=bool)
 
     def step(self, s_t, a_t, l_t, e_t) -> np.ndarray:
         """One control step; output clamped per component to +/- u_max.
 
         u = policy + zeta * (pd_control(e_t, prev_e, kp, kd) + sigma * var),
-        accumulated in place in that order. The only reordering is a * b =
-        b * a with at most one NaN operand, which is exact in IEEE arithmetic,
-        so the output is bit for bit that of the composition.
+        accumulated in place in that order; var is var_react's value from the
+        running sums, which take off the evicted entry before adding the new
+        one. The only reordering is a * b = b * a with at most one NaN
+        operand, which is exact in IEEE arithmetic, so the output is bit for
+        bit that of the composition. The output is a fresh array: callers
+        keep it.
         """
         s_t = np.asarray(s_t, dtype=float)
         e_t = np.asarray(e_t, dtype=float)
-        if s_t.shape != (self.dim,) or e_t.shape != (self.dim,):
+        if s_t.shape != self._shape or e_t.shape != self._shape:
             raise DimensionMismatch(
                 f"expected dim {self.dim}, got state {s_t.shape} error {e_t.shape}")
-        if (np.count_nonzero(np.isfinite(s_t)) != self.dim
-                or np.count_nonzero(np.isfinite(e_t)) != self.dim):
+        finite = self._finite
+        if (_count_nonzero(np.isfinite(s_t, out=finite)) != self.dim
+                or _count_nonzero(np.isfinite(e_t, out=finite)) != self.dim):
             raise DimensionMismatch("reactive inputs must be finite")
-        gains = self.gains
-        self._push(s_t)
-        u = e_t * gains.kp
-        derivative = e_t - self._prev_e
-        derivative *= gains.kd
-        u += derivative
-        var = self._var_term()
-        if var is None:
-            # the zero variance term still turns -0.0 into +0.0
-            u += gains.sigma * 0.0
+        head, sums = self._head, self._sums
+        entry, sample, square = self._ring[head]
+        if self._count == self._window:
+            np.subtract(sums, entry, out=sums)
         else:
-            var *= gains.sigma
-            u += var
-        # a copy: a caller may refill e_t in place before the next step
-        np.copyto(self._prev_e, e_t)
-        u *= gains.zeta
+            self._count += 1
+            self._n[()] = self._count
+        # copies: a caller may refill s_t and e_t in place before the next step
+        sample[...] = s_t
+        np.multiply(s_t, s_t, out=square)
+        np.add(sums, entry, out=sums)
+        self._head = head + 1 if head + 1 < self._window else 0
+        u = np.multiply(e_t, self._kp, out=self._u)
+        derivative = np.subtract(e_t, self._prev_e, out=self._derivative)
+        np.multiply(derivative, self._kd, out=derivative)
+        np.add(u, derivative, out=u)
+        if self._count < 2:
+            # the zero variance term still turns -0.0 into +0.0
+            np.add(u, self._sigma_zero, out=u)
+        else:
+            mean, variance = self._mean, self._variance
+            np.divide(sums, self._n, out=self._moments)
+            np.multiply(mean, mean, out=mean)
+            np.subtract(variance, mean, out=variance)
+            np.maximum(variance, _ZERO, out=variance)
+            np.sqrt(variance, out=variance)
+            np.negative(variance, out=variance)
+            np.multiply(variance, self._sigma, out=variance)
+            np.add(u, variance, out=u)
+        self._prev_e[...] = e_t
+        np.multiply(u, self._zeta, out=u)
         u = self.policy(s_t, a_t, l_t) + u
-        return u.clip(-gains.u_max, gains.u_max, out=u)
+        return _clip(u, self._u_min, self._u_max, out=u)

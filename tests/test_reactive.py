@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -169,9 +170,16 @@ def test_zero_policy_shape():
 
 
 def test_window_below_one_rejected():
-    for window in (0, -3):
-        with pytest.raises(ValueError):
+    # a bool or a numpy integer is not an int, as in RateConfig
+    for window in (0, -3, True, np.int64(3), 2.0):
+        with pytest.raises(ValueError, match="window"):
             ReactiveController(4, window=window)
+
+
+def test_dim_below_one_rejected():
+    for dim in (0, -1, True, np.int64(3), 2.0):
+        with pytest.raises(ValueError, match="dim"):
+            ReactiveController(dim)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),
@@ -213,6 +221,53 @@ def test_refilled_error_buffer_keeps_its_derivative():
         buffer[:] = value
         outputs.append(controller.step(np.zeros(1), None, None, buffer)[0])
     assert outputs == [0.0, 1.0, 2.0]
+
+
+def test_gains_fixed_at_construction():
+    kp = np.array([0.5, 1.5])
+    gains = ReactiveGains(zeta=1.0, sigma=0.0, kp=kp, kd=0.0, u_max=10.0)
+    for name, value in (("u_max", -1.0), ("kp", float("nan"))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(gains, name, value)
+    controller = ReactiveController(2, gains)
+    twin = ReactiveController(2, ReactiveGains(
+        zeta=1.0, sigma=0.0, kp=np.array([0.5, 1.5]), kd=0.0, u_max=10.0))
+    # the controller keeps its own copy of the caller's gain array
+    kp[:] = np.nan
+    error = np.array([1.0, -2.0])
+    assert (controller.step(np.zeros(2), None, None, error).tobytes()
+            == twin.step(np.zeros(2), None, None, error).tobytes())
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_returned_output_survives_later_steps(window):
+    # no buffer the controller reuses may alias an output it returned
+    rng = np.random.default_rng(5)
+    gains = ReactiveGains(zeta=0.7, sigma=0.4, kp=0.9, kd=0.3, u_max=100.0)
+    controller = ReactiveController(3, gains, window=window)
+    returned = []
+    for _ in range(3 * window + 4):
+        u = controller.step(rng.standard_normal(3), None, None,
+                            rng.standard_normal(3))
+        returned.append((u, u.tobytes()))
+    for u, kept in returned:
+        assert u.tobytes() == kept
+
+
+@pytest.mark.parametrize("u_max", [0.0, -0.0])
+def test_zero_clamp_matches_ndarray_clip(u_max):
+    # minimum/maximum in place of clip would differ in the sign of zero here
+    rng = np.random.default_rng(6)
+
+    def make(bound):
+        return ReactiveController(3, ReactiveGains(
+            zeta=0.7, sigma=0.4, kp=0.9, kd=0.3, u_max=bound), window=3)
+
+    clamped, twin = make(u_max), make(1e9)
+    for _ in range(40):
+        s, e = _golden_vector(rng, 3), _golden_vector(rng, 3)
+        expected = twin.step(s, None, None, e).clip(-u_max, u_max)
+        assert clamped.step(s, None, None, e).tobytes() == expected.tobytes()
 
 
 def _golden_vector(rng, dim):
