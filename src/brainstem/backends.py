@@ -16,7 +16,7 @@ import time
 from contextlib import contextmanager
 from typing import Mapping, Optional
 
-from .errors import BackendError
+from .errors import BackendError, SchemaViolation
 
 MAX_RETRIES = 3
 # longest remote reply read, in bytes; a longer one is refused, not retried
@@ -277,9 +277,16 @@ class RemoteBackend:
                         # a bounded read returns a body shorter than its
                         # Content-Length without raising
                         raise http.client.IncompleteRead(data, reply.length)
-                return data.decode("utf-8")
             except (urllib.error.URLError, http.client.HTTPException,
                     OSError, ValueError) as exc:
                 last_error = exc
+                continue
+            # JSON text is UTF-8: a whole reply that is not is malformed,
+            # and asking again would not mend it
+            try:
+                return data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaViolation(
+                    f"remote reply is not UTF-8: {exc}") from None
         raise BackendError(f"remote backend failed after {self.retries} "
                            f"attempts: {last_error}")

@@ -10,13 +10,12 @@ highest-priority non-empty channel.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import deque
 from typing import Callable, Iterable, Optional
 
-from .errors import IoError, UnregisteredSender
-from .protocol import Envelope, Importance, serialize_envelope
+from .errors import UnregisteredSender
+from .protocol import Envelope, Importance
 
 PRIORITY_ORDER = (Importance.HIGH, Importance.MEDIUM, Importance.LOW)
 
@@ -25,31 +24,17 @@ class MessageBus:
     """Three priority channels with exactly-once per-subscriber delivery.
 
     ``is_registered`` gates publishers and subscribers; the registry wires
-    itself in at construction time. With an ``audit_path``, a publish or
-    delivery whose audit line cannot be written raises ``IoError`` and
-    changes nothing; a delivery line's ``at`` counts the bus's operations.
+    itself in at construction time. Every publish and delivery is recorded
+    in memory, in order, for ``audit_log``.
     """
 
-    def __init__(self, is_registered: Callable[[str], bool],
-                 audit_path: Optional[str] = None):
+    def __init__(self, is_registered: Callable[[str], bool]):
         self._is_registered = is_registered
-        self._ops = 0
         self._lock = threading.RLock()
         # level -> agent_id -> deque of the envelopes the agent owes
         self._inboxes = {level: {} for level in PRIORITY_ORDER}
         self._subscriptions: dict = {}   # agent_id -> set[Importance]
         self._audit: list = []
-        self._audit_path = audit_path
-
-    # -- audit file -----------------------------------------------------------
-
-    def _write_audit_line(self, line: bytes) -> None:
-        try:
-            with open(self._audit_path, "ab") as sink:
-                sink.write(line + b"\n")
-        except OSError as exc:
-            raise IoError(f"cannot write audit file {self._audit_path}: "
-                          f"{exc}") from None
 
     # -- subscriptions ------------------------------------------------------
 
@@ -80,9 +65,6 @@ class MessageBus:
         if not self._is_registered(sender):
             raise UnregisteredSender(f"{sender!r} is not registered")
         with self._lock:
-            if self._audit_path is not None:
-                self._write_audit_line(serialize_envelope(envelope))
-            self._ops += 1
             self._audit.append(("publish", envelope.log_id, envelope))
             for inbox in self._inboxes[envelope.header.importance].values():
                 inbox.append(envelope)
@@ -100,18 +82,9 @@ class MessageBus:
             for level in PRIORITY_ORDER:
                 inbox = self._inboxes[level].get(subscriber)
                 if level in subscribed and inbox:
-                    envelope = inbox[0]
-                    if self._audit_path is not None:
-                        self._write_audit_line(json.dumps({
-                            "receipt": envelope.log_id,
-                            "delivered_to": subscriber,
-                            "at": self._ops + 1,
-                        }, sort_keys=True).encode())
-                    self._ops += 1
-                    inbox.popleft()
+                    envelope = inbox.popleft()
                     self._audit.append(("deliver", envelope.log_id, subscriber))
                     return envelope
-            self._ops += 1
         return None
 
     def pending_count(self, subscriber: str) -> int:

@@ -47,15 +47,10 @@ malformed JSON. The episode's own errors, such as ``make_envelope``'s, still
 raise.
 
 The reactive controller still runs on every simulated tick, with zeros for
-every input, although no decision reads its output. It is over nine tenths of
-an episode's time (a median untraced pass of the traced grid takes 0.82 s
-with it and 0.057 s without on ``grid_full``, and 0.38 s and 0.025 s on
-``grid_reactive_only``, ~14-15x, one 2-vCPU host), and it stays until
-``perfbench``'s traced runs are bounded by a round count rather than by
-summed seconds (ROADMAP item 1a): with the call deleted,
-``perfbench/run.py --trace 1 --seconds 50`` took 243-244 s over 768-836
-untraced rounds on ``grid_full`` and 284-298 s over 943-1,055 rounds on
-``grid_reactive_only`` (two runs each), against 66-79 s with it. The Bayes
+every input, although no decision reads its output. It is most of an
+episode's time, and it stays until ``perfbench``'s traced runs are bounded by
+a round count rather than by summed seconds (ROADMAP item 1a); ROADMAP item 2
+keeps the measured figures. The Bayes
 filter, the HTN DAG, the latent relay, the episodic memory with its
 broadcast, multimodal fusion and the inspector's drift check are library
 units (``estimator.forward_filter``, ``planner.build_htn_dag``,
@@ -118,14 +113,6 @@ class TrialResult:
     detail: str = ""
 
 
-def require_positive_ints(config, names) -> None:
-    """Raise ConfigError unless each named field of ``config`` is an int >= 1."""
-    for name in names:
-        value = getattr(config, name)
-        if type(value) is not int or value < 1:
-            raise ConfigError(f"{name} must be an int >= 1, got {value!r}")
-
-
 @dataclass
 class EpisodeConfig:
     mode: str = "full"                # one of MODES
@@ -136,7 +123,7 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        require_positive_ints(self, ("memory_period", "deliberative_period"))
+        self.rates()  # raises ConfigError on a bad period
 
     def rates(self) -> RateConfig:
         return RateConfig(self.memory_period, self.deliberative_period)
@@ -147,6 +134,8 @@ class EpisodeRuntime:
 
     def __init__(self, scenario: ScenarioSpec, world: WorldState, seed: int,
                  config: Optional[EpisodeConfig] = None, backend=None):
+        if type(seed) is not int:
+            raise ConfigError(f"seed must be an int, got {seed!r}")
         self.scenario = scenario
         self.world = world
         self.seed = seed

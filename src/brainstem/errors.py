@@ -85,8 +85,15 @@ class UnknownTask(BrainstemError):
 
 # harness
 
-class ConfigError(BrainstemError):
+class ConfigError(BrainstemError, ValueError):
     """Benchmark configuration is incomplete or inconsistent."""
+
+
+def require_positive_ints(**values) -> None:
+    """Raise ConfigError unless each named value is an int >= 1."""
+    for name, value in values.items():
+        if type(value) is not int or value < 1:
+            raise ConfigError(f"{name} must be an int >= 1, got {value!r}")
 
 
 class EmptyInput(BrainstemError):

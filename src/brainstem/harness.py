@@ -24,9 +24,9 @@ from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from typing import Optional, Sequence
 
-from .episode import (EpisodeConfig, Outcome, TrialResult,
-                      require_positive_ints, run_trial)
-from .errors import ConfigError, EmptyInput, IoError, SchemaViolation
+from .episode import EpisodeConfig, Outcome, TrialResult, run_trial
+from .errors import (ConfigError, EmptyInput, IoError, SchemaViolation,
+                     require_positive_ints)
 from .simenv import TASK_IDS, load_scenario
 
 BACKENDS = ("scripted", "remote")
@@ -68,7 +68,8 @@ class BenchConfig:
             raise ConfigError(f"unknown task ids {bad}")
         if len(set(self.tasks)) != len(self.tasks):
             raise ConfigError(f"task ids repeat in {list(self.tasks)}")
-        require_positive_ints(self, ("trials_per_eval", "evals"))
+        require_positive_ints(trials_per_eval=self.trials_per_eval,
+                              evals=self.evals)
         if type(self.base_seed) is not int:
             raise ConfigError(f"base_seed must be an int, got {self.base_seed!r}")
         if self.backend not in BACKENDS:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, IoError
+from .errors import DimensionMismatch, IoError, require_positive_ints
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,8 @@ class RateConfig:
     deliberative_period: int = 100_000
 
     def __post_init__(self):
-        for name in ("memory_period", "deliberative_period"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        require_positive_ints(memory_period=self.memory_period,
+                              deliberative_period=self.deliberative_period)
 
 
 class RelayMap:

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, require_positive_ints
 
 # The C functions behind ndarray.clip and np.count_nonzero, called without
 # their Python wrappers; numpy 2 moved them from numpy.core to numpy._core,
@@ -85,9 +85,7 @@ class ReactiveController:
     def __init__(self, dim: int, gains: Optional[ReactiveGains] = None,
                  policy: Optional[Callable] = None,
                  window: int = DEFAULT_VAR_WINDOW):
-        for name, value in (("dim", dim), ("window", window)):
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        require_positive_ints(dim=dim, window=window)
         self.dim = dim
         if gains is None:
             gains = ReactiveGains()

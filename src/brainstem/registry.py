@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Optional
 
-from .errors import DuplicateId, IoError, NotFailed, SchemaViolation
+from .errors import DuplicateId, NotFailed, SchemaViolation
 from .protocol import Importance
 
 log = logging.getLogger(__name__)
@@ -45,23 +44,13 @@ class AgentDescriptor:
     status: AgentStatus = AgentStatus.ACTIVE
 
 
-@dataclass(frozen=True)
-class CrashRecord:
-    agent_id: str
-    tick: int
-    last_message_log_id: Optional[str]
-    context_snapshot: Mapping
-
-
 class AgentRegistry:
     """Shared agent database: concurrent reads, serialized mutations."""
 
-    def __init__(self, crash_log_path: Optional[str] = None):
+    def __init__(self):
         self._lock = threading.RLock()
         self._agents: dict = {}            # agent_id -> AgentDescriptor
         self._saved_subscriptions: dict = {}
-        self._crash_records: list = []
-        self._crash_log_path = crash_log_path
         self.bus = None  # wired by the runtime after both ends exist
 
     def bind_bus(self, bus) -> None:
@@ -131,48 +120,20 @@ class AgentRegistry:
             if self.bus is not None:
                 self._saved_subscriptions[agent_id] = self.bus.subscriptions_of(agent_id)
 
-    def reinitialize(self, agent_id: str, context: Optional[Mapping] = None,
-                     tick: int = 0,
-                     last_message_log_id: Optional[str] = None) -> str:
-        """Reset a failed agent to its initial configuration and log the crash.
+    def reinitialize(self, agent_id: str) -> str:
+        """Reset a failed agent to its initial configuration.
 
-        The crash log line is written before any state changes, so an
-        unwritable ``crash_log_path`` raises ``IoError`` and leaves the agent
-        ``Failed`` with no new record.
+        The agent becomes ``Active`` again with the subscriptions it had when
+        it failed, so messages published during its downtime reach it.
         """
         with self._lock:
             agent = self._agents.get(agent_id)
             if agent is None or agent.status is not AgentStatus.FAILED:
                 raise NotFailed(f"{agent_id!r} is not in the Failed state")
-            record = CrashRecord(agent_id, tick, last_message_log_id,
-                                 dict(context or {}))
-            if self._crash_log_path is not None:
-                self._write_crash_line(record)
-            self._crash_records.append(record)
-            log.warning("reinitializing %s after failure at tick %d", agent_id, tick)
+            log.warning("reinitializing %s after failure", agent_id)
             self._agents[agent_id] = replace(agent, status=AgentStatus.ACTIVE)
             if self.bus is not None:
                 subscriptions = self._saved_subscriptions.pop(
                     agent_id, DEFAULT_CHANNELS[agent.role])
                 self.bus.subscribe(agent_id, subscriptions)
             return agent_id
-
-    def _write_crash_line(self, record: CrashRecord) -> None:
-        line = json.dumps({
-            "agent_id": record.agent_id,
-            "tick": record.tick,
-            "last_message_log_id": record.last_message_log_id,
-            "context_snapshot": record.context_snapshot,
-        }, sort_keys=True)
-        try:
-            with open(self._crash_log_path, "a", encoding="utf-8") as sink:
-                sink.write(line + "\n")
-        except OSError as exc:
-            raise IoError(f"cannot write crash log {self._crash_log_path}: "
-                          f"{exc}") from None
-
-    def crash_records(self, agent_id: Optional[str] = None) -> list:
-        with self._lock:
-            if agent_id is None:
-                return list(self._crash_records)
-            return [r for r in self._crash_records if r.agent_id == agent_id]

@@ -661,8 +661,9 @@ def load_scenario(task_id: int, seed: int = 0):
     """(ScenarioSpec, WorldState) for a benchmark task. The spec is the same
     for every seed; the seed picks the start world's one mark from the spec's
     ``start_marks``, if any (task 4's right port)."""
-    if task_id not in _TASKS:
-        raise UnknownTask(f"task_id must be 1..8, got {task_id}")
+    # True == 1 and 1.0 == 1 would both look up task 1
+    if type(task_id) is not int or task_id not in _TASKS:
+        raise UnknownTask(f"task_id must be an int 1..8, got {task_id!r}")
     scenario, world = _TASKS[task_id]()
     if scenario.start_marks:
         world.marks.add(random.Random(seed).choice(scenario.start_marks))

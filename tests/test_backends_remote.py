@@ -217,6 +217,16 @@ def test_remote_reply_past_the_limit_ends_the_trial():
                              f"{MAX_REPLY_BYTES} bytes")
 
 
+def test_non_utf8_reply_is_malformed_without_a_retry():
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n\xff\xfe"
+    with raw_endpoint(reply) as server:
+        result = run_trial(1, 0, backend=RemoteBackend(
+            url_of(server), retries=3, backoff=0, timeout=5.0))
+        assert server.requests == 1
+    assert (result.outcome, result.ticks_elapsed) == (Outcome.HANDLED_ABORT, 0)
+    assert result.detail.startswith("malformed reply: ")
+
+
 def test_trickled_reply_is_cut_at_the_attempt_timeout():
     # each byte comes within the 0.5 s a socket read may wait, but the
     # 12 of them take 3.6 s

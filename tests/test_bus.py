@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -7,7 +6,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
 from brainstem.bus import PRIORITY_ORDER, MessageBus
-from brainstem.errors import DuplicateId, IoError, NotFailed, UnregisteredSender
+from brainstem.errors import DuplicateId, NotFailed, UnregisteredSender
 from brainstem.protocol import Importance, LogIdAllocator
 from brainstem.registry import (DEFAULT_CHANNELS, AgentDescriptor,
                                 AgentRegistry, Role)
@@ -188,24 +187,6 @@ def test_strict_priority_invariant_random_schedules(allocator):
                 pending[level] -= 1
 
 
-def test_audit_file_has_envelopes_and_receipts(tmp_path, allocator):
-    from brainstem.protocol import decode_envelope
-    path = tmp_path / "audit.log"
-    registered = {"alice", "bob"}
-    bus = MessageBus(is_registered=registered.__contains__,
-                     audit_path=str(path))
-    bus.subscribe("bob", {H})
-    envelope = quick_envelope("alice", H, allocator)
-    bus.publish(envelope)
-    bus.next_message("bob")
-    lines = path.read_bytes().strip().split(b"\n")
-    assert len(lines) == 2
-    assert decode_envelope(lines[0]) == envelope
-    receipt = json.loads(lines[1])
-    assert receipt["receipt"] == envelope.log_id
-    assert receipt["delivered_to"] == "bob"
-
-
 def test_concurrent_publishers_and_subscriber(allocator):
     import threading
 
@@ -238,43 +219,6 @@ def test_concurrent_publishers_and_subscriber(allocator):
         got.append(env.log_id)
     assert sorted(got) == sorted(i for batch in sent for i in batch)
     assert len(set(got)) == 300
-
-
-def test_unwritable_audit_file_fails_publish_and_changes_nothing(
-        tmp_path, allocator):
-    registered = {"alice", "bob"}
-    bus = MessageBus(is_registered=registered.__contains__,
-                     audit_path=str(tmp_path))  # a directory
-    bus.subscribe("bob", {H})
-    with pytest.raises(IoError):
-        bus.publish(quick_envelope("alice", H, allocator))
-    assert bus.audit_log() == []
-    assert bus.pending_count("bob") == 0
-    assert bus.next_message("bob") is None
-
-
-def test_unwritable_delivery_record_leaves_the_message_owed(
-        tmp_path, allocator):
-    path = tmp_path / "audit.log"
-    registered = {"alice", "bob"}
-    bus = MessageBus(is_registered=registered.__contains__,
-                     audit_path=str(path))
-    bus.subscribe("bob", {H})
-    envelope = quick_envelope("alice", H, allocator)
-    bus.publish(envelope)
-    path.unlink()
-    path.mkdir()
-    with pytest.raises(IoError):
-        bus.next_message("bob")
-    assert bus.pending_count("bob") == 1
-    assert [op for op, _, _ in bus.audit_log()] == ["publish"]
-    path.rmdir()
-    assert bus.next_message("bob") == envelope
-    assert bus.pending_count("bob") == 0
-    # the failed pull did not count as an operation either: the delivery
-    # is the second, after the publish
-    assert json.loads(path.read_bytes()) == \
-        {"receipt": envelope.log_id, "delivered_to": "bob", "at": 2}
 
 
 def test_bus_drops_a_message_once_no_subscriber_owes_it(bus, allocator):

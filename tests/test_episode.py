@@ -11,7 +11,8 @@ from brainstem.agents import (EMBED_DIM, HashEmbedder, InspectionVerdict,
                               inspect_alignment)
 from brainstem.backends import LEADER_PLANS, ScriptedBackend
 from brainstem.episode import EpisodeConfig, EpisodeRuntime, Outcome, run_trial
-from brainstem.errors import BackendError, ConfigError, SchemaViolation
+from brainstem.errors import (BackendError, ConfigError, SchemaViolation,
+                             UnknownTask)
 from brainstem.pipeline import state_review
 from brainstem.protocol import (PayloadKind, decode_envelope,
                                 serialize_envelope, tick_to_timestamp)
@@ -46,6 +47,16 @@ def test_runtime_takes_the_trial_seed(task_id, seed):
     result = EpisodeRuntime(scenario, world, seed).run()
     assert result == run_trial(task_id, seed)
     assert result.seed == seed
+
+
+@pytest.mark.parametrize("task_id,seed,error", [
+    (True, 0, UnknownTask), (1.0, 0, UnknownTask),
+    (1, True, ConfigError), (1, 1.5, ConfigError),
+], ids=["bool_task", "float_task", "bool_seed", "float_seed"])
+def test_task_id_and_seed_must_be_ints(task_id, seed, error):
+    # True == 1 and 1.0 == 1, so either would otherwise run task 1
+    with pytest.raises(error, match="must be an int"):
+        run_trial(task_id, seed)
 
 
 def test_reactive_only_never_corrects_charger():

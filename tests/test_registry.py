@@ -1,10 +1,9 @@
-import json
 import random
 
 import pytest
 
 from brainstem.bus import MessageBus
-from brainstem.errors import DuplicateId, IoError, NotFailed, SchemaViolation
+from brainstem.errors import DuplicateId, NotFailed, SchemaViolation
 from brainstem.protocol import Importance, LogIdAllocator
 from brainstem.registry import AgentDescriptor, AgentRegistry, AgentStatus, Role
 from support import quick_envelope
@@ -81,25 +80,14 @@ def test_reinitialize_state_machine(registry):
     registry.register_agent(worker(2))
     registry.mark_failed("Worker_2")
     assert registry.get("Worker_2").status is AgentStatus.FAILED
-    registry.reinitialize("Worker_2", {"last_obs": "cabinet"}, tick=42)
+    registry.reinitialize("Worker_2")
     assert registry.get("Worker_2").status is AgentStatus.ACTIVE
-    records = registry.crash_records("Worker_2")
-    assert len(records) == 1
-    assert records[0].tick == 42
 
 
 def test_reinitialize_active_agent_rejected(registry):
     registry.register_agent(worker(2))
     with pytest.raises(NotFailed):
         registry.reinitialize("Worker_2")
-
-
-def test_crash_records_count_matches_transitions(registry):
-    registry.register_agent(worker(1))
-    for _ in range(3):
-        registry.mark_failed("Worker_1")
-        registry.reinitialize("Worker_1")
-    assert len(registry.crash_records("Worker_1")) == 3
 
 
 def test_messages_during_downtime_delivered_after_restart(registry):
@@ -125,34 +113,3 @@ def test_messages_during_downtime_delivered_after_restart(registry):
         # every downtime message arrives exactly once (priority order, so
         # publication order is only preserved within one channel)
         assert sorted(got) == sorted(e.log_id for e in downtime)
-
-
-def test_crash_log_file(tmp_path):
-    reg = AgentRegistry(crash_log_path=str(tmp_path / "crash.log"))
-    reg.register_agent(worker(1))
-    reg.mark_failed("Worker_1")
-    reg.reinitialize("Worker_1", {"why": "test"}, tick=7,
-                     last_message_log_id="MSG_00009")
-    lines = (tmp_path / "crash.log").read_text().strip().splitlines()
-    assert len(lines) == 1
-    record = json.loads(lines[0])
-    assert record["agent_id"] == "Worker_1"
-    assert record["last_message_log_id"] == "MSG_00009"
-
-
-def test_unwritable_crash_log_changes_nothing(tmp_path):
-    path = tmp_path / "crash.log"
-    path.mkdir()  # a directory cannot take the log line
-    reg = AgentRegistry(crash_log_path=str(path))
-    reg.register_agent(worker(1))
-    reg.mark_failed("Worker_1")
-    for _ in range(2):
-        with pytest.raises(IoError):
-            reg.reinitialize("Worker_1", tick=3)
-        assert reg.crash_records() == []
-        assert reg.get("Worker_1").status is AgentStatus.FAILED
-    path.rmdir()
-    reg.reinitialize("Worker_1", tick=3)
-    assert reg.get("Worker_1").status is AgentStatus.ACTIVE
-    assert [r.tick for r in reg.crash_records()] == [3]
-    assert len(path.read_text().splitlines()) == 1
