@@ -46,11 +46,17 @@ each colleague a reflection asks. A reply nested too deeply to parse is
 malformed JSON. The episode's own errors, such as ``make_envelope``'s, still
 raise.
 
-The reactive controller still runs on every simulated tick, with zeros for
-every input, although no decision reads its output. It is most of an
-episode's time, and it stays until ``perfbench``'s traced runs are bounded by
-a round count rather than by summed seconds (ROADMAP item 1a); ROADMAP item 2
-keeps the measured figures. The Bayes
+The episode wakes only at events (``EpisodeRuntime._next_wake``): when the
+running action finishes, on the next tick while it is idle, and at every
+memory and deliberative boundary, which the scheduler adds. Between wakes no
+hook could change anything, so the scheduler skips those ticks; a scheduled
+world event that falls between wakes fires at the next one, before any hook
+reads the world. The reactive controller still steps once per
+simulated tick: at each wake it first catches up on every tick skipped since
+the last wake. It gets zeros for every input, and no decision reads its
+output. It is most of an episode's time, and it stays until ``perfbench``'s
+traced runs are bounded by a round count rather than by summed seconds
+(ROADMAP item 1a); ROADMAP item 2 keeps the measured figures. The Bayes
 filter, the HTN DAG, the latent relay, the episodic memory with its
 broadcast, multimodal fusion and the inspector's drift check are library
 units (``estimator.forward_filter``, ``planner.build_htn_dag``,
@@ -168,6 +174,7 @@ class EpisodeRuntime:
         self.done: Optional[Outcome] = None
         self.detail = ""
         self.script_index = 0
+        self.last_wake = 0  # the last tick the reactive hook ran at
 
         # the symbol state review compares the world's against: the last
         # plan's or successful action's
@@ -282,6 +289,12 @@ class EpisodeRuntime:
     def _reactive(self, tick: int) -> None:
         if self.done is not None:
             return
+        # the controller steps once per simulated tick: first once for each
+        # tick the scheduler skipped, then once for this one
+        step, zeros = self.controller.step, self.zeros
+        for _ in range(tick - self.last_wake - 1):
+            step(zeros, zeros, zeros, zeros)
+        self.last_wake = tick
         advance_clock(self.scenario, self.world, tick)
         if self.current_action is not None and tick >= self.action_done_at:
             self._finish_action()
@@ -289,7 +302,23 @@ class EpisodeRuntime:
             return
         if self.current_action is None and not self.pending_abort:
             self._next_action()
-        self.controller.step(self.zeros, self.zeros, self.zeros, self.zeros)
+        step(zeros, zeros, zeros, zeros)
+
+    def _next_wake(self, tick: int) -> int:
+        """The next tick at which the reactive hook can change anything.
+
+        That is when the running action finishes, or the next tick while idle
+        (the next action starts there). Idle with an abort pending, only a
+        boundary of the slow loops can move the trial, and the scheduler
+        visits those anyway, so the wake is the horizon. A scheduled event
+        needs no wake of its own: the next visit's ``advance_clock`` fires it
+        before any hook reads the world.
+        """
+        if self.current_action is not None:
+            return self.action_done_at
+        if not self.pending_abort:
+            return tick + 1
+        return self.scenario.timeout_ticks
 
     def _scripted_next(self) -> None:
         script = self.scenario.reactive_script
@@ -324,7 +353,8 @@ class EpisodeRuntime:
             on_memory=self._memory_step if slow_loops else None,
             on_deliberative=self._deliberate if slow_loops else None,
             trace_reactive=False,
-            stop=lambda tick: self.done is not None)
+            stop=lambda tick: self.done is not None,
+            next_wake=self._next_wake)
         if self.config.trace_path:
             trace.write(self.config.trace_path)
         outcome = self.done if self.done is not None else Outcome.FAILURE

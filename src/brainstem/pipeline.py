@@ -7,6 +7,11 @@ memory loop every ``memory_period`` ticks, the deliberative loop every
 Deliberative work is chunked: callbacks may hand back deferred jobs whose
 results are applied at a later deliberative boundary, so a slow planning
 round never displaces a reactive tick.
+
+A caller whose reactive hook has nothing to do on most ticks may pass
+``next_wake`` to advance time event by event (next-event time advance): the
+scheduler then visits only the ticks the caller asks for and every memory
+and deliberative boundary, and the reactive loop fires at those visits.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, IoError, require_positive_ints
+from .errors import (ConfigError, DimensionMismatch, IoError,
+                     require_positive_ints)
 
 
 @dataclass(frozen=True)
@@ -126,31 +132,51 @@ class DeferredJob:
     submitted_at: int
 
 
+def _every_tick(tick: int) -> int:
+    return tick + 1
+
+
 def run_scheduler(rates: RateConfig, horizon_ticks: int,
                   on_reactive: Optional[Callable] = None,
                   on_memory: Optional[Callable] = None,
                   on_deliberative: Optional[Callable] = None,
                   trace_reactive: bool = True,
-                  stop: Optional[Callable] = None) -> ExecutionTrace:
-    """Drive the three loops over a virtual horizon.
+                  stop: Optional[Callable] = None,
+                  next_wake: Callable = _every_tick) -> ExecutionTrace:
+    """Drive the three loops over a virtual horizon of ticks 1..horizon_ticks.
 
     ``on_deliberative(tick)`` may return ``(latency_ticks, apply_fn)`` to model
     slow work: the result is applied at the first deliberative boundary after
     the latency elapses, keeping every reactive tick on time. ``stop(tick)``
     ends the run early.
+
+    By default every tick is visited. With ``next_wake``, the tick after a
+    visited tick ``t`` is the earliest of ``next_wake(t)``, the next memory
+    boundary, the next deliberative boundary and the horizon, so every
+    boundary is still visited and the memory and deliberative firings,
+    deferred applications and their trace records are those of the per-tick
+    run. ``on_reactive`` fires, and a reactive record is written, at each
+    visited tick only: the records mark wakes, and ``max_reactive_gap`` can
+    exceed 1. ``next_wake(t)`` must be later than ``t``.
     """
+    if type(horizon_ticks) is not int or horizon_ticks < 0:
+        raise ConfigError(
+            f"horizon_ticks must be an int >= 0, got {horizon_ticks!r}")
+    memory_period = rates.memory_period
+    deliberative_period = rates.deliberative_period
     trace = ExecutionTrace()
     pending: list = []
-    for tick in range(1, horizon_ticks + 1):
+    tick = 1
+    while tick <= horizon_ticks:
         if on_reactive is not None:
             on_reactive(tick)
         if trace_reactive:
             trace.append(tick, "reactive", "fire")
-        if tick % rates.memory_period == 0:
+        if tick % memory_period == 0:
             if on_memory is not None:
                 on_memory(tick)
             trace.append(tick, "memory", "fire")
-        if tick % rates.deliberative_period == 0:
+        if tick % deliberative_period == 0:
             still_waiting = []
             for job in pending:
                 if job.ready_at <= tick:
@@ -167,4 +193,13 @@ def run_scheduler(rates: RateConfig, horizon_ticks: int,
                 pending.append(DeferredJob(tick + latency, apply_fn, tick))
         if stop is not None and stop(tick):
             break
+        if tick >= horizon_ticks:
+            break
+        wake = next_wake(tick)
+        if wake <= tick:
+            raise ValueError(f"next_wake({tick}) returned {wake!r}, "
+                             f"not a later tick")
+        tick = min(wake, tick - tick % memory_period + memory_period,
+                   tick - tick % deliberative_period + deliberative_period,
+                   horizon_ticks)
     return trace

@@ -25,6 +25,12 @@ except ImportError:  # numpy 1.x
     from numpy.core.multiarray import count_nonzero as _count_nonzero
     from numpy.core.umath import clip as _clip
 
+# ufuncs bound once: a step calls them with ``out`` as a positional argument,
+# except maximum, where numpy 2 deprecates that
+_add, _divide, _isfinite, _maximum, _multiply, _negative, _sqrt, _subtract = (
+    np.add, np.divide, np.isfinite, np.maximum, np.multiply, np.negative,
+    np.sqrt, np.subtract)
+
 DEFAULT_VAR_WINDOW = 16
 _ZERO = np.zeros(())
 
@@ -120,7 +126,9 @@ class ReactiveController:
         self._prev_e = np.zeros(dim)
         self._u = np.empty(dim)
         self._derivative = np.empty(dim)
-        self._finite = np.empty(dim, dtype=bool)
+        # one finite mask for both inputs: row 0 the state, row 1 the error
+        self._finite = np.empty((2, dim), dtype=bool)
+        self._finite_rows = tuple(self._finite)
 
     def step(self, s_t, a_t, l_t, e_t) -> np.ndarray:
         """One control step; output clamped per component to +/- u_max.
@@ -139,39 +147,41 @@ class ReactiveController:
             raise DimensionMismatch(
                 f"expected dim {self.dim}, got state {s_t.shape} error {e_t.shape}")
         finite = self._finite
-        if (_count_nonzero(np.isfinite(s_t, out=finite)) != self.dim
-                or _count_nonzero(np.isfinite(e_t, out=finite)) != self.dim):
+        finite_s, finite_e = self._finite_rows
+        _isfinite(s_t, finite_s)
+        _isfinite(e_t, finite_e)
+        if _count_nonzero(finite) != finite.size:
             raise DimensionMismatch("reactive inputs must be finite")
         head, sums = self._head, self._sums
         entry, sample, square = self._ring[head]
         if self._count == self._window:
-            np.subtract(sums, entry, out=sums)
+            _subtract(sums, entry, sums)
         else:
             self._count += 1
             self._n[()] = self._count
         # copies: a caller may refill s_t and e_t in place before the next step
         sample[...] = s_t
-        np.multiply(s_t, s_t, out=square)
-        np.add(sums, entry, out=sums)
+        _multiply(s_t, s_t, square)
+        _add(sums, entry, sums)
         self._head = head + 1 if head + 1 < self._window else 0
-        u = np.multiply(e_t, self._kp, out=self._u)
-        derivative = np.subtract(e_t, self._prev_e, out=self._derivative)
-        np.multiply(derivative, self._kd, out=derivative)
-        np.add(u, derivative, out=u)
+        u = _multiply(e_t, self._kp, self._u)
+        derivative = _subtract(e_t, self._prev_e, self._derivative)
+        _multiply(derivative, self._kd, derivative)
+        _add(u, derivative, u)
         if self._count < 2:
             # the zero variance term still turns -0.0 into +0.0
-            np.add(u, self._sigma_zero, out=u)
+            _add(u, self._sigma_zero, u)
         else:
             mean, variance = self._mean, self._variance
-            np.divide(sums, self._n, out=self._moments)
-            np.multiply(mean, mean, out=mean)
-            np.subtract(variance, mean, out=variance)
-            np.maximum(variance, _ZERO, out=variance)
-            np.sqrt(variance, out=variance)
-            np.negative(variance, out=variance)
-            np.multiply(variance, self._sigma, out=variance)
-            np.add(u, variance, out=u)
+            _divide(sums, self._n, self._moments)
+            _multiply(mean, mean, mean)
+            _subtract(variance, mean, variance)
+            _maximum(variance, _ZERO, out=variance)
+            _sqrt(variance, variance)
+            _negative(variance, variance)
+            _multiply(variance, self._sigma, variance)
+            _add(u, variance, u)
         self._prev_e[...] = e_t
-        np.multiply(u, self._zeta, out=u)
+        _multiply(u, self._zeta, u)
         u = self.policy(s_t, a_t, l_t) + u
-        return _clip(u, self._u_min, self._u_max, out=u)
+        return _clip(u, self._u_min, self._u_max, u)

@@ -10,10 +10,12 @@ from brainstem import episode
 from brainstem.agents import (EMBED_DIM, HashEmbedder, InspectionVerdict,
                               inspect_alignment)
 from brainstem.backends import LEADER_PLANS, ScriptedBackend
-from brainstem.episode import EpisodeConfig, EpisodeRuntime, Outcome, run_trial
+from brainstem.episode import (MODES, EpisodeConfig, EpisodeRuntime, Outcome,
+                               run_trial)
 from brainstem.errors import (BackendError, ConfigError, SchemaViolation,
                              UnknownTask)
 from brainstem.pipeline import state_review
+from brainstem.reactive import ReactiveController
 from brainstem.protocol import (PayloadKind, decode_envelope,
                                 serialize_envelope, tick_to_timestamp)
 from brainstem.simenv import TASK_IDS, advance_clock, load_scenario
@@ -94,6 +96,54 @@ def test_reactive_only_skip_to_the_horizon_matches_ticking(task_id,
     monkeypatch.setattr(episode, "can_change", lambda *args: True)
     ticked = [run_trial(task_id, seed, config) for seed in range(8)]
     assert skipped == ticked
+
+
+def test_next_event_run_matches_ticking(tmp_path, monkeypatch):
+    # waking only when something can happen must leave every trial, its
+    # written trace and the controller's step count as ticking does
+    counts = {"steps": 0, "wakes": 0}
+    step, reactive = ReactiveController.step, EpisodeRuntime._reactive
+
+    def counted_step(controller, *inputs):
+        counts["steps"] += 1
+        return step(controller, *inputs)
+
+    def counted_reactive(runtime, tick):
+        counts["wakes"] += 1
+        return reactive(runtime, tick)
+
+    monkeypatch.setattr(ReactiveController, "step", counted_step)
+    monkeypatch.setattr(EpisodeRuntime, "_reactive", counted_reactive)
+    path = tmp_path / "trace.tsv"
+
+    def grid():
+        cells, wakes = [], 0
+        for mode in MODES:
+            config = EpisodeConfig(mode=mode, trace_path=str(path))
+            for task_id in range(1, 9):
+                for seed in range(8):
+                    counts["steps"] = counts["wakes"] = 0
+                    result = run_trial(task_id, seed, config)
+                    cells.append((result, path.read_bytes(), counts["steps"]))
+                    wakes += counts["wakes"]
+        return cells, wakes
+
+    next_event, wakes = grid()
+    monkeypatch.setattr(EpisodeRuntime, "_next_wake",
+                        lambda runtime, tick: tick + 1)
+    ticked, tick_wakes = grid()
+    assert next_event == ticked
+    assert wakes * 20 < tick_wakes
+
+
+def test_next_wake_is_the_earliest_thing_that_can_happen():
+    scenario, world = load_scenario(8, 0)
+    runtime = EpisodeRuntime(scenario, world, 0)
+    assert runtime._next_wake(10) == 11  # idle: the next action starts
+    runtime.current_action, runtime.action_done_at = "explore room", 500
+    assert runtime._next_wake(10) == 500
+    runtime.current_action, runtime.pending_abort = None, True
+    assert runtime._next_wake(10) == scenario.timeout_ticks
 
 
 def test_reactive_only_dead_script_advances_the_clock_at_most_twice(

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from brainstem.errors import DimensionMismatch
+from brainstem.errors import ConfigError, DimensionMismatch
 from brainstem.pipeline import (LatentState, RateConfig, RelayMap,
                                 relay_update, run_scheduler, state_review)
 
@@ -126,6 +127,76 @@ def test_stop_predicate_ends_early():
     trace = run_scheduler(RateConfig(memory_period=2, deliberative_period=4),
                           100, stop=lambda t: t >= 10)
     assert trace.count("reactive") == 10
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(memory_period=st.integers(1, 12), deliberative_period=st.integers(1, 40),
+       horizon=st.integers(0, 160),
+       latencies=st.lists(st.none() | st.integers(0, 90), min_size=1,
+                          max_size=6),
+       gaps=st.lists(st.integers(1, 50), min_size=1, max_size=6),
+       stop_after=st.none() | st.integers(1, 8))
+def test_next_wake_keeps_every_slow_loop_event(memory_period,
+                                               deliberative_period, horizon,
+                                               latencies, gaps, stop_after):
+    # next_wake(t) = t + gaps[t % len(gaps)]; the run stops after the
+    # stop_after-th memory firing, so both runs stop at the same tick
+    rates = RateConfig(memory_period, deliberative_period)
+
+    def run(**wake):
+        events, reactive = [], []
+
+        def on_deliberative(tick):
+            events.append(("deliberative", tick))
+            latency = latencies[tick % len(latencies)]
+            if latency is not None:
+                return latency, lambda t: events.append(("apply", tick, t))
+
+        trace = run_scheduler(
+            rates, horizon, on_reactive=reactive.append,
+            on_memory=lambda tick: events.append(("memory", tick)),
+            on_deliberative=on_deliberative, **wake,
+            stop=lambda tick: stop_after is not None and sum(
+                kind == "memory" for kind, *_ in events) >= stop_after)
+        slow = [record for record in trace.records if record[1] != "reactive"]
+        assert [record[0] for record in trace.firings("reactive")] == reactive
+        return events, slow, reactive
+
+    def next_wake(tick):
+        return tick + gaps[tick % len(gaps)]
+
+    ticked = run()
+    woken = run(next_wake=next_wake)
+    assert woken[:2] == ticked[:2]
+    visits = woken[2]
+    assert visits == sorted(set(visits))
+    assert set(visits) <= set(ticked[2])
+    assert visits[-1:] == ticked[2][-1:]
+    for tick, after in zip(visits, visits[1:]):
+        assert after <= next_wake(tick)
+
+
+@pytest.mark.parametrize("wake", [lambda tick: tick, lambda tick: tick - 1,
+                                  lambda tick: 0])
+def test_next_wake_must_be_later(wake):
+    with pytest.raises(ValueError, match="next_wake"):
+        run_scheduler(RateConfig(memory_period=5, deliberative_period=10), 20,
+                      next_wake=wake)
+
+
+@pytest.mark.parametrize("horizon", [-1, -100, 2.5, 10.0, True, np.int64(10),
+                                     "10", None])
+def test_horizon_must_be_a_non_negative_int(horizon):
+    with pytest.raises(ConfigError, match="horizon_ticks"):
+        run_scheduler(RateConfig(memory_period=2, deliberative_period=4),
+                      horizon)
+
+
+def test_zero_horizon_runs_no_tick():
+    seen = []
+    trace = run_scheduler(RateConfig(memory_period=1, deliberative_period=1), 0,
+                          on_reactive=seen.append, next_wake=lambda t: t + 1)
+    assert (seen, trace.records) == ([], [])
 
 
 def test_trace_write_and_counts(tmp_path):

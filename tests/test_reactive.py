@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brainstem.errors import DimensionMismatch
 from brainstem.reactive import (ReactiveController, ReactiveGains, pd_control,
@@ -328,3 +330,72 @@ def test_controller_output_bytes_match_golden_digest():
     assert steps == 6030
     assert digest.hexdigest() == (
         "5355448cfda0263804bd579ae27616266f50b8b6ce13638c6130c5b4a396f08b")
+
+
+def reference_steps(dim, gains, policy, window, inputs):
+    """The composed reference arithmetic ``step`` must match bit for bit.
+
+    pd_control, then the variance term from running sums of the window's
+    (sample, square) entries (the evicted entry taken off before the new one
+    is added), then the policy, each term a fresh array; ``inputs`` are
+    (s_t, a_t, e_t) triples.
+    """
+    kp = np.asarray(gains.kp, dtype=float)
+    kd = np.asarray(gains.kd, dtype=float)
+    entries = deque()
+    sums = np.zeros((2, dim))
+    prev_e = np.zeros(dim)
+    outputs = []
+    for s_t, a_t, e_t in inputs:
+        s_t = np.asarray(s_t, dtype=float)
+        e_t = np.asarray(e_t, dtype=float)
+        entry = np.stack([s_t, s_t * s_t])
+        if len(entries) == window:
+            sums = sums - entries.popleft()
+        entries.append(entry)
+        sums = sums + entry
+        pd = pd_control(e_t, prev_e, kp, kd)
+        if len(entries) < 2:
+            var_term = gains.sigma * 0.0
+        else:
+            mean, mean_square = sums / len(entries)
+            var_term = gains.sigma * np.negative(np.sqrt(np.maximum(
+                mean_square - mean * mean, 0.0)))
+        u = policy(s_t, a_t, None) + gains.zeta * (pd + var_term)
+        outputs.append(u.clip(-gains.u_max, gains.u_max))
+        prev_e = e_t
+    return outputs
+
+
+def _vectors(dim):
+    # up to 1e300: squares and running sums overflow, and outputs turn NaN
+    values = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0])
+    vector = st.lists(values, min_size=dim, max_size=dim)
+    return st.one_of(vector, vector.map(np.array))
+
+
+def _gains(dim):
+    scalar = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])
+    return st.one_of(
+        scalar, scalar.map(np.array),
+        st.lists(scalar, min_size=dim, max_size=dim).map(np.array))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 8), window=st.integers(1, 8),
+       custom=st.booleans())
+def test_step_bytes_match_composed_reference(data, dim, window, custom):
+    non_negative = st.floats(0.0, 3.0) | st.sampled_from([0.0, -0.0])
+    gains = ReactiveGains(
+        zeta=data.draw(non_negative), sigma=data.draw(non_negative),
+        kp=data.draw(_gains(dim)), kd=data.draw(_gains(dim)),
+        u_max=data.draw(st.sampled_from([0.0, -0.0, 0.05, 1.0, 1e3])))
+    policy = (lambda s, a, l: 0.25 * s - a) if custom else zero_policy
+    steps = data.draw(st.integers(1, 3 * window + 4))
+    inputs = [(data.draw(_vectors(dim)), np.asarray(data.draw(_vectors(dim))),
+               data.draw(_vectors(dim))) for _ in range(steps)]
+    controller = ReactiveController(dim, gains, policy, window=window)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference_steps(dim, gains, policy, window, inputs)
+        got = [controller.step(s, a, None, e) for s, a, e in inputs]
+    assert [u.tobytes() for u in got] == [u.tobytes() for u in expected]
