@@ -52,9 +52,10 @@ memory and deliberative boundary, which the scheduler adds. Between wakes no
 hook could change anything, so the scheduler skips those ticks; a scheduled
 world event that falls between wakes fires at the next one, before any hook
 reads the world. The reactive controller still steps once per
-simulated tick: at each wake it first catches up on every tick skipped since
-the last wake. It gets zeros for every input, and no decision reads its
-output. It is most of an episode's time, and it stays until ``perfbench``'s
+simulated tick: at each wake, before the wake's work, one call steps it for
+that tick and every tick skipped since the last wake (``ticks``). It gets
+zeros for every input, and no decision reads its output. It is most of an
+episode's time, and it stays until ``perfbench``'s
 traced runs are bounded by a round count rather than by summed seconds
 (ROADMAP item 1a); ROADMAP item 2 keeps the measured figures. The Bayes
 filter, the HTN DAG, the latent relay, the episodic memory with its
@@ -289,11 +290,11 @@ class EpisodeRuntime:
     def _reactive(self, tick: int) -> None:
         if self.done is not None:
             return
-        # the controller steps once per simulated tick: first once for each
-        # tick the scheduler skipped, then once for this one
-        step, zeros = self.controller.step, self.zeros
-        for _ in range(tick - self.last_wake - 1):
-            step(zeros, zeros, zeros, zeros)
+        # the controller steps once per simulated tick: one call covers this
+        # tick and every tick the scheduler skipped since the last wake
+        zeros = self.zeros
+        self.controller.step(zeros, zeros, zeros, zeros,
+                             ticks=tick - self.last_wake)
         self.last_wake = tick
         advance_clock(self.scenario, self.world, tick)
         if self.current_action is not None and tick >= self.action_done_at:
@@ -302,7 +303,6 @@ class EpisodeRuntime:
             return
         if self.current_action is None and not self.pending_abort:
             self._next_action()
-        step(zeros, zeros, zeros, zeros)
 
     def _next_wake(self, tick: int) -> int:
         """The next tick at which the reactive hook can change anything.

@@ -157,7 +157,7 @@ def run_scheduler(rates: RateConfig, horizon_ticks: int,
     deferred applications and their trace records are those of the per-tick
     run. ``on_reactive`` fires, and a reactive record is written, at each
     visited tick only: the records mark wakes, and ``max_reactive_gap`` can
-    exceed 1. ``next_wake(t)`` must be later than ``t``.
+    exceed 1. ``next_wake(t)`` must be an int later than ``t``.
     """
     if type(horizon_ticks) is not int or horizon_ticks < 0:
         raise ConfigError(
@@ -196,7 +196,7 @@ def run_scheduler(rates: RateConfig, horizon_ticks: int,
         if tick >= horizon_ticks:
             break
         wake = next_wake(tick)
-        if wake <= tick:
+        if type(wake) is not int or wake <= tick:
             raise ValueError(f"next_wake({tick}) returned {wake!r}, "
                              f"not a later tick")
         tick = min(wake, tick - tick % memory_period + memory_period,

@@ -80,7 +80,8 @@ def var_react(s_t, l_t, window: Sequence) -> np.ndarray:
 
 
 class ReactiveController:
-    """Owns the error/window state; called once per reactive tick.
+    """Owns the error/window state; steps once per reactive tick, and one
+    call may cover several ticks with the same inputs (``ticks``).
 
     The gains are read once, here: ``kp`` and ``kd`` are copied, so refilling
     the caller's arrays later changes nothing. The variance window is a fixed
@@ -130,8 +131,13 @@ class ReactiveController:
         self._finite = np.empty((2, dim), dtype=bool)
         self._finite_rows = tuple(self._finite)
 
-    def step(self, s_t, a_t, l_t, e_t) -> np.ndarray:
-        """One control step; output clamped per component to +/- u_max.
+    def step(self, s_t, a_t, l_t, e_t, *, ticks: int = 1) -> np.ndarray:
+        """``ticks`` control steps with the same inputs; returns the last
+        step's output, clamped per component to +/- u_max.
+
+        The inputs are checked once. Each tick then pushes s_t onto the
+        window, updates the running sums and prev_e, calls the policy and
+        clamps its output, exactly as ``ticks`` separate calls would.
 
         u = policy + zeta * (pd_control(e_t, prev_e, kp, kd) + sigma * var),
         accumulated in place in that order; var is var_react's value from the
@@ -141,6 +147,7 @@ class ReactiveController:
         bit that of the composition. The output is a fresh array: callers
         keep it.
         """
+        require_positive_ints(ticks=ticks)
         s_t = np.asarray(s_t, dtype=float)
         e_t = np.asarray(e_t, dtype=float)
         if s_t.shape != self._shape or e_t.shape != self._shape:
@@ -152,36 +159,40 @@ class ReactiveController:
         _isfinite(e_t, finite_e)
         if _count_nonzero(finite) != finite.size:
             raise DimensionMismatch("reactive inputs must be finite")
-        head, sums = self._head, self._sums
-        entry, sample, square = self._ring[head]
-        if self._count == self._window:
-            _subtract(sums, entry, sums)
-        else:
-            self._count += 1
-            self._n[()] = self._count
-        # copies: a caller may refill s_t and e_t in place before the next step
-        sample[...] = s_t
-        _multiply(s_t, s_t, square)
-        _add(sums, entry, sums)
-        self._head = head + 1 if head + 1 < self._window else 0
-        u = _multiply(e_t, self._kp, self._u)
-        derivative = _subtract(e_t, self._prev_e, self._derivative)
-        _multiply(derivative, self._kd, derivative)
-        _add(u, derivative, u)
-        if self._count < 2:
-            # the zero variance term still turns -0.0 into +0.0
-            _add(u, self._sigma_zero, u)
-        else:
-            mean, variance = self._mean, self._variance
-            _divide(sums, self._n, self._moments)
-            _multiply(mean, mean, mean)
-            _subtract(variance, mean, variance)
-            _maximum(variance, _ZERO, out=variance)
-            _sqrt(variance, variance)
-            _negative(variance, variance)
-            _multiply(variance, self._sigma, variance)
-            _add(u, variance, u)
-        self._prev_e[...] = e_t
-        _multiply(u, self._zeta, u)
-        u = self.policy(s_t, a_t, l_t) + u
-        return _clip(u, self._u_min, self._u_max, u)
+        sums = self._sums
+        for _ in range(ticks):
+            head = self._head
+            entry, sample, square = self._ring[head]
+            if self._count == self._window:
+                _subtract(sums, entry, sums)
+            else:
+                self._count += 1
+                self._n[()] = self._count
+            # copies: a caller may refill s_t and e_t in place before the
+            # next step
+            sample[...] = s_t
+            _multiply(s_t, s_t, square)
+            _add(sums, entry, sums)
+            self._head = head + 1 if head + 1 < self._window else 0
+            u = _multiply(e_t, self._kp, self._u)
+            derivative = _subtract(e_t, self._prev_e, self._derivative)
+            _multiply(derivative, self._kd, derivative)
+            _add(u, derivative, u)
+            if self._count < 2:
+                # the zero variance term still turns -0.0 into +0.0
+                _add(u, self._sigma_zero, u)
+            else:
+                mean, variance = self._mean, self._variance
+                _divide(sums, self._n, self._moments)
+                _multiply(mean, mean, mean)
+                _subtract(variance, mean, variance)
+                _maximum(variance, _ZERO, out=variance)
+                _sqrt(variance, variance)
+                _negative(variance, variance)
+                _multiply(variance, self._sigma, variance)
+                _add(u, variance, u)
+            self._prev_e[...] = e_t
+            _multiply(u, self._zeta, u)
+            u = self.policy(s_t, a_t, l_t) + u
+            _clip(u, self._u_min, self._u_max, u)
+        return u

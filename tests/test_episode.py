@@ -100,13 +100,14 @@ def test_reactive_only_skip_to_the_horizon_matches_ticking(task_id,
 
 def test_next_event_run_matches_ticking(tmp_path, monkeypatch):
     # waking only when something can happen must leave every trial, its
-    # written trace and the controller's step count as ticking does
-    counts = {"steps": 0, "wakes": 0}
+    # written trace and the controller's tick count as ticking does; one
+    # step call covers ``ticks`` ticks
+    counts = {"ticks": 0, "wakes": 0}
     step, reactive = ReactiveController.step, EpisodeRuntime._reactive
 
-    def counted_step(controller, *inputs):
-        counts["steps"] += 1
-        return step(controller, *inputs)
+    def counted_step(controller, *inputs, ticks=1):
+        counts["ticks"] += ticks
+        return step(controller, *inputs, ticks=ticks)
 
     def counted_reactive(runtime, tick):
         counts["wakes"] += 1
@@ -122,9 +123,9 @@ def test_next_event_run_matches_ticking(tmp_path, monkeypatch):
             config = EpisodeConfig(mode=mode, trace_path=str(path))
             for task_id in range(1, 9):
                 for seed in range(8):
-                    counts["steps"] = counts["wakes"] = 0
+                    counts["ticks"] = counts["wakes"] = 0
                     result = run_trial(task_id, seed, config)
-                    cells.append((result, path.read_bytes(), counts["steps"]))
+                    cells.append((result, path.read_bytes(), counts["ticks"]))
                     wakes += counts["wakes"]
         return cells, wakes
 

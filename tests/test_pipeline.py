@@ -177,8 +177,11 @@ def test_next_wake_keeps_every_slow_loop_event(memory_period,
 
 
 @pytest.mark.parametrize("wake", [lambda tick: tick, lambda tick: tick - 1,
-                                  lambda tick: 0])
+                                  lambda tick: 0, lambda tick: tick + 0.5,
+                                  lambda tick: float(tick + 1),
+                                  lambda tick: np.int64(tick + 1)])
 def test_next_wake_must_be_later(wake):
+    # a wake that is not an int would hand a float tick to every hook
     with pytest.raises(ValueError, match="next_wake"):
         run_scheduler(RateConfig(memory_period=5, deliberative_period=10), 20,
                       next_wake=wake)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 from collections import deque
 
 import numpy as np
@@ -176,6 +177,19 @@ def test_window_below_one_rejected():
     for window in (0, -3, True, np.int64(3), 2.0):
         with pytest.raises(ValueError, match="window"):
             ReactiveController(4, window=window)
+
+
+def test_ticks_below_one_rejected():
+    # as for window, a bool or a numpy integer is not an int
+    gains = ReactiveGains(zeta=0.7, sigma=0.4, kp=0.9, kd=0.3, u_max=100.0)
+    controller, fresh = ReactiveController(2, gains), ReactiveController(2, gains)
+    state, error = np.array([0.5, -1.0]), np.array([0.25, 2.0])
+    for ticks in (0, -1, True, 2.0, np.int64(2)):
+        with pytest.raises(ValueError, match="ticks"):
+            controller.step(state, None, None, error, ticks=ticks)
+    # a refused call steps nothing
+    assert (controller.step(state, None, None, error).tobytes()
+            == fresh.step(state, None, None, error).tobytes())
 
 
 def test_dim_below_one_rejected():
@@ -391,11 +405,26 @@ def test_step_bytes_match_composed_reference(data, dim, window, custom):
         kp=data.draw(_gains(dim)), kd=data.draw(_gains(dim)),
         u_max=data.draw(st.sampled_from([0.0, -0.0, 0.05, 1.0, 1e3])))
     policy = (lambda s, a, l: 0.25 * s - a) if custom else zero_policy
-    steps = data.draw(st.integers(1, 3 * window + 4))
-    inputs = [(data.draw(_vectors(dim)), np.asarray(data.draw(_vectors(dim))),
-               data.draw(_vectors(dim))) for _ in range(steps)]
+
+    def call(ticks):
+        return (data.draw(_vectors(dim)), np.asarray(data.draw(_vectors(dim))),
+                data.draw(_vectors(dim)), ticks)
+
+    calls = []
+    for _ in range(data.draw(st.integers(1, 3 * window + 4))):
+        calls.append(call(data.draw(st.integers(1, 5))))
+        if calls[-1][3] > 1:
+            # a single step after a multi-tick call checks the window, sums
+            # and previous error that call left, not only its output
+            calls.append(call(1))
     controller = ReactiveController(dim, gains, policy, window=window)
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = reference_steps(dim, gains, policy, window, inputs)
-        got = [controller.step(s, a, None, e) for s, a, e in inputs]
-    assert [u.tobytes() for u in got] == [u.tobytes() for u in expected]
+        expected = reference_steps(
+            dim, gains, policy, window,
+            [(s, a, e) for s, a, e, ticks in calls for _ in range(ticks)])
+        got = [controller.step(s, a, None, e, ticks=ticks)
+               for s, a, e, ticks in calls]
+    # a call returns the output of its last tick
+    last_ticks = itertools.accumulate(ticks for *_, ticks in calls)
+    assert ([u.tobytes() for u in got]
+            == [expected[tick - 1].tobytes() for tick in last_ticks])
