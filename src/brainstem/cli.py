@@ -6,7 +6,8 @@ import argparse
 import sys
 
 from .episode import MODES, EpisodeConfig
-from .errors import BrainstemError, ConfigError, IoError, SchemaViolation
+from .errors import (AggregateOverflow, BrainstemError, ConfigError, IoError,
+                     SchemaViolation)
 from .harness import (BACKENDS, BenchConfig, EvalBatch, aggregate, emit_report,
                       reference_aggregates, run_bench)
 from .protocol import is_finite_number, parse_json
@@ -118,7 +119,10 @@ def _cmd_aggregate(args) -> int:
         raise SchemaViolation(f"{args.input}: expected an object of "
                               "name -> list of finite numbers")
     for name, values in doc.items():
-        avg, std = aggregate(values)
+        try:
+            avg, std = aggregate(values)
+        except AggregateOverflow as exc:
+            raise AggregateOverflow(f"{args.input}: {name}: {exc}") from None
         sys.stdout.write(f"{name}: avg={avg:g} std={std:.4g}\n")
     return 0
 

@@ -100,5 +100,9 @@ class EmptyInput(BrainstemError):
     """Aggregation requested over an empty value list."""
 
 
+class AggregateOverflow(BrainstemError):
+    """The mean or sample std of finite values is not a finite float."""
+
+
 class IoError(BrainstemError):
     """A batch, report, trace or input file could not be read or written."""

@@ -25,8 +25,8 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .episode import EpisodeConfig, Outcome, TrialResult, run_trial
-from .errors import (ConfigError, EmptyInput, IoError, SchemaViolation,
-                     require_positive_ints)
+from .errors import (AggregateOverflow, ConfigError, EmptyInput, IoError,
+                     SchemaViolation, require_positive_ints)
 from .simenv import TASK_IDS, load_scenario
 
 BACKENDS = ("scripted", "remote")
@@ -34,17 +34,25 @@ BACKENDS = ("scripted", "remote")
 
 def aggregate(values: Sequence[float],
               expected_n: Optional[int] = None) -> tuple:
-    """(mean, sample std) of eval percentages; std uses the n-1 convention."""
+    """(mean, sample std) of eval percentages; std uses the n-1 convention.
+
+    Values whose mean or std overflows a float are refused.
+    """
     values = list(values)
     if not values:
         raise EmptyInput("no values to aggregate")
     if expected_n is not None and len(values) != expected_n:
         raise ConfigError(f"expected {expected_n} values, got {len(values)}")
-    mean = sum(values) / len(values)
-    if len(values) < 2:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    return mean, math.sqrt(var)
+    try:
+        mean = sum(values) / len(values)
+        std = 0.0 if len(values) < 2 else math.sqrt(
+            sum((v - mean) ** 2 for v in values) / (len(values) - 1))
+    except OverflowError:
+        mean = std = math.inf
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise AggregateOverflow(
+            "the mean or sample std of these values is not a finite float")
+    return mean, std
 
 
 @dataclass

@@ -112,10 +112,9 @@ class ReactiveController:
         self._u_min = np.array(-self._u_max)
         self.policy = policy if policy is not None else zero_policy
         self._shape = (dim,)
-        # entry i of the ring is (sample, square); _head is the next slot to
-        # write, which holds the oldest entry once the ring is full
-        self._ring = [(entry, entry[0], entry[1])
-                      for entry in np.zeros((window, 2, dim))]
+        # entry i of the ring is a (sample, square) pair; _head is the next
+        # slot to write, which holds the oldest entry once the ring is full
+        self._ring = list(np.zeros((window, 2, dim)))
         self._window = window
         self._head = 0
         self._count = 0
@@ -125,8 +124,12 @@ class ReactiveController:
         self._moments = np.empty((2, dim))
         self._mean, self._variance = self._moments
         self._prev_e = np.zeros(dim)
+        # a call's input-only terms: the entry each tick pushes, kp * e_t,
+        # and the PD term of its first tick and of each later tick
+        self._pushed = np.empty((2, dim))
+        self._proportional = np.empty(dim)
+        self._pd = tuple(np.empty((2, dim)))
         self._u = np.empty(dim)
-        self._derivative = np.empty(dim)
         # one finite mask for both inputs: row 0 the state, row 1 the error
         self._finite = np.empty((2, dim), dtype=bool)
         self._finite_rows = tuple(self._finite)
@@ -135,12 +138,18 @@ class ReactiveController:
         """``ticks`` control steps with the same inputs; returns the last
         step's output, clamped per component to +/- u_max.
 
-        The inputs are checked once. Each tick then pushes s_t onto the
-        window, updates the running sums and prev_e, calls the policy and
-        clamps its output, exactly as ``ticks`` separate calls would.
+        The inputs are checked once, and the terms that only they decide are
+        computed once: the window entry (s_t, s_t * s_t), kp * e_t, the first
+        tick's derivative kd * (e_t - prev_e), the later ticks' kd * (e_t -
+        e_t), and the policy's output. The policy is called once per call,
+        so it must be a function of its arguments. Each tick then pushes the
+        entry onto the window, updates the running sums, computes the
+        variance term and combines, scales and clamps as a single call does,
+        so the output and the state left behind are those of ``ticks``
+        separate calls.
 
         u = policy + zeta * (pd_control(e_t, prev_e, kp, kd) + sigma * var),
-        accumulated in place in that order; var is var_react's value from the
+        accumulated in that order; var is var_react's value from the
         running sums, which take off the evicted entry before adding the new
         one. The only reordering is a * b = b * a with at most one NaN
         operand, which is exact in IEEE arithmetic, so the output is bit for
@@ -159,28 +168,38 @@ class ReactiveController:
         _isfinite(e_t, finite_e)
         if _count_nonzero(finite) != finite.size:
             raise DimensionMismatch("reactive inputs must be finite")
+        policy = self.policy(s_t, a_t, l_t)
+        # copies: a caller may refill s_t and e_t in place before the next
+        # step
+        pushed = self._pushed
+        pushed[0] = s_t
+        _multiply(s_t, s_t, pushed[1])
+        proportional = _multiply(e_t, self._kp, self._proportional)
+        pd_first, pd_later = self._pd
+        _subtract(e_t, self._prev_e, pd_first)
+        _multiply(pd_first, self._kd, pd_first)
+        _add(proportional, pd_first, pd_first)
+        _subtract(e_t, e_t, pd_later)
+        _multiply(pd_later, self._kd, pd_later)
+        _add(proportional, pd_later, pd_later)
+        self._prev_e[...] = e_t
         sums = self._sums
+        pd = pd_first
         for _ in range(ticks):
             head = self._head
-            entry, sample, square = self._ring[head]
+            entry = self._ring[head]
             if self._count == self._window:
                 _subtract(sums, entry, sums)
             else:
                 self._count += 1
                 self._n[()] = self._count
-            # copies: a caller may refill s_t and e_t in place before the
-            # next step
-            sample[...] = s_t
-            _multiply(s_t, s_t, square)
+            entry[...] = pushed
             _add(sums, entry, sums)
             self._head = head + 1 if head + 1 < self._window else 0
-            u = _multiply(e_t, self._kp, self._u)
-            derivative = _subtract(e_t, self._prev_e, self._derivative)
-            _multiply(derivative, self._kd, derivative)
-            _add(u, derivative, u)
+            u = self._u
             if self._count < 2:
                 # the zero variance term still turns -0.0 into +0.0
-                _add(u, self._sigma_zero, u)
+                _add(pd, self._sigma_zero, u)
             else:
                 mean, variance = self._mean, self._variance
                 _divide(sums, self._n, self._moments)
@@ -190,9 +209,9 @@ class ReactiveController:
                 _sqrt(variance, variance)
                 _negative(variance, variance)
                 _multiply(variance, self._sigma, variance)
-                _add(u, variance, u)
-            self._prev_e[...] = e_t
+                _add(pd, variance, u)
+            pd = pd_later
             _multiply(u, self._zeta, u)
-            u = self.policy(s_t, a_t, l_t) + u
+            u = policy + u
             _clip(u, self._u_min, self._u_max, u)
         return u

@@ -11,8 +11,8 @@ from brainstem import harness
 from brainstem.backends import ScriptedBackend
 from brainstem.cli import main
 from brainstem.episode import Outcome, TrialResult
-from brainstem.errors import (BackendError, ConfigError, EmptyInput,
-                              SchemaViolation)
+from brainstem.errors import (AggregateOverflow, BackendError, ConfigError,
+                              EmptyInput, SchemaViolation)
 from brainstem.harness import (BenchConfig, EvalBatch, aggregate, emit_report,
                                load_reference_tables, reference_aggregates,
                                run_bench)
@@ -42,6 +42,13 @@ def test_aggregate_empty_rejected():
 def test_aggregate_enforces_expected_n():
     with pytest.raises(ConfigError):
         aggregate([1, 2, 3], expected_n=8)
+
+
+@pytest.mark.parametrize("values", [[1e200, -1e200], [1e308, 1e308]])
+def test_aggregate_refuses_a_mean_or_std_past_float_range(values):
+    # the squared deviations raise OverflowError; the sum overflows to inf
+    with pytest.raises(AggregateOverflow, match="not a finite float"):
+        aggregate(values)
 
 
 def test_every_reference_cell_reproduced_or_flagged():
@@ -450,13 +457,16 @@ def test_cli_json_report_loads_back_as_the_same_trials(tmp_path, capsys):
     ["aggregate", "--input", "{tmp}/too_deep.json"],
     ["report", "--input", "{tmp}/not_utf8.json"],
     ["aggregate", "--input", "{tmp}/not_utf8.json"],
+    ["aggregate", "--input", "{tmp}/std_overflow.json"],
+    ["aggregate", "--input", "{tmp}/mean_overflow.json"],
 ], ids=["ratios", "task", "report_missing",
         "report_no_mode", "report_not_json", "aggregate_missing",
         "out_under_file", "aggregate_list", "aggregate_strings",
         "report_no_seeds", "report_old_format", "report_evals_zero",
         "report_evals_not_dividing", "report_huge_grid", "aggregate_nan", "aggregate_infinity",
         "task_duplicate", "report_too_deep",
-        "aggregate_too_deep", "report_not_utf8", "aggregate_not_utf8"])
+        "aggregate_too_deep", "report_not_utf8", "aggregate_not_utf8",
+        "aggregate_std_overflow", "aggregate_mean_overflow"])
 def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
     no_mode = batch_doc([(1, 0, "Failure")])
     del no_mode["config"]["mode"]
@@ -467,6 +477,10 @@ def test_cli_bad_input_ends_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "strings.json").write_text(json.dumps({"row": ["a"]}))
     (tmp_path / "nan.json").write_text(json.dumps({"a": [math.nan, 1]}))
     (tmp_path / "infinity.json").write_text(json.dumps({"a": [1, math.inf]}))
+    (tmp_path / "std_overflow.json").write_text(
+        json.dumps({"a": [1e200, -1e200]}))
+    (tmp_path / "mean_overflow.json").write_text(
+        json.dumps({"a": [1e308, 1e308]}))
     (tmp_path / "not_json.txt").write_text("mode: full\n")
     (tmp_path / "too_deep.json").write_text(TOO_DEEP)
     (tmp_path / "not_utf8.json").write_bytes(b'{"a": [1\xff]}')

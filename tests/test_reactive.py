@@ -192,6 +192,21 @@ def test_ticks_below_one_rejected():
             == fresh.step(state, None, None, error).tobytes())
 
 
+@pytest.mark.parametrize("ticks", [1, 3, 6])
+def test_policy_called_once_per_call(ticks):
+    calls = []
+
+    def policy(s, a, l):
+        calls.append(a)
+        return 0.25 * s
+
+    controller = ReactiveController(2, policy=policy, window=4)
+    state, error = np.array([0.5, -1.0]), np.array([0.25, 2.0])
+    for action in range(3):
+        controller.step(state, action, None, error, ticks=ticks)
+    assert calls == [0, 1, 2]
+
+
 def test_dim_below_one_rejected():
     for dim in (0, -1, True, np.int64(3), 2.0):
         with pytest.raises(ValueError, match="dim"):
@@ -412,7 +427,8 @@ def test_step_bytes_match_composed_reference(data, dim, window, custom):
 
     calls = []
     for _ in range(data.draw(st.integers(1, 3 * window + 4))):
-        calls.append(call(data.draw(st.integers(1, 5))))
+        # up to window + 2 ticks: one call evicts entries it pushed itself
+        calls.append(call(data.draw(st.integers(1, window + 2))))
         if calls[-1][3] > 1:
             # a single step after a multi-tick call checks the window, sums
             # and previous error that call left, not only its output
